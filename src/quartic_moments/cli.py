@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .cache import CacheCorruptError, read_lvalue_cache, write_lvalue_cache
+from .cache import CacheCorruptError, _body, read_lvalue_cache, write_lvalue_cache
 from .characters import QuarticCharacter, characters_upto
 from .gauss_sums import gauss_average, gauss_sum, gauss_sum_twisted
 from .gaussint import GaussInt
@@ -24,6 +24,8 @@ from .lfunctions import (
 )
 from .moments import (
     first_moment,
+    moment_family,
+    moment_records,
     nonvanishing_count,
     second_moment,
     sieve_ratio_quartic,
@@ -137,21 +139,8 @@ def _cmd_moment(args) -> int:
     method = "direct" if args.oracle else "afe"
     if args.csv:
         # per-character rows in the L-value cache schema
-        from .cache import _HEADER
-        from .characters import characters_upto
-        from .moments import moment_records
-        from .weights import bump_weight as _bw
-
-        w = _bw()
-        lo, hi = w.support
-        chars = [c for c in characters_upto(int(hi * args.Q)) if lo * args.Q < c.q < hi * args.Q]
-        recs = moment_records(chars, _afe_config(args), args.workers, method)
-        print(_HEADER)
-        for r in recs:
-            print(
-                f"{r.q},{r.a},{r.b},{r.value.real:.17g},{r.value.imag:.17g},"
-                f"{r.method},{r.err_estimate:.17g}"
-            )
+        chars = moment_family(args.Q, bump_weight())
+        print(_body(moment_records(chars, _afe_config(args), args.workers, method)), end="")
         return 0
     rep = first_moment(
         args.Q,

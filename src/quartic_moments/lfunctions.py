@@ -2,7 +2,8 @@
 
 Two independent evaluation routes:
 
-* `lvalue_afe` -- the approximate functional equation.  For a primitive chi
+* `lvalues_afe` (and `lvalue_afe`, its batch of one) -- the approximate
+  functional equation, evaluated per conductor.  For a primitive chi
   mod q, any G even, holomorphic, bounded on |Re s| < 4 with G(0) = 1, and
   any split A*B = q,
 
@@ -16,9 +17,22 @@ Two independent evaluation routes:
       a_j = (1-j)/2,    eps(chi) = i^{-a_j} q^{-1/2} tau(chi),
       X_{a,j} = (q/pi)^{-a} Gamma((1/2+a_j-a)/2) / Gamma((1/2+a_j+a)/2).
 
-  V is evaluated by vectorized trapezoidal quadrature on a vertical line
+  V is a trapezoidal sum over nodes s_k on a vertical line Re(s) = c
   (shifted left of 0, plus the residue 1, when x < 1, so small x never
-  suffers cancellation).  For G = 1, a = 0 the closed form
+  suffers cancellation).  In the AFE, x = m/A and V depends only on
+  (q, j, a), so it is evaluated once per conductor and shared by all its
+  characters.  Each term factors as (m/A)^{-s_k} = m^{-s_k} A^{s_k}, so
+
+      V_{a,j}(m/A) = 1[m < A] + sum_k E_c[m, k] (w_k A^{s_k}),
+
+  where w_k are the contour weights and E_c[m, k] = m^{-s_k} is a table
+  shared by every conductor, one per abscissa c.  It holds at most 512 rows,
+  allocated once and filled in place on first use, so a family fills it up
+  to the largest cutoff it needs; longer sums (Gaussian G at a != 0 needs
+  M ~ 1e5-1e6) stream the rows past it in 512-row blocks.  A conductor thus
+  costs one exponential per node for A^{s_k} plus a mat-vec on row slices.
+  `_v_quadrature`, which exponentiates (m/A)^{-s_k} directly, is the oracle
+  the table route is tested against.  For G = 1, a = 0 the closed form
   V_j(xi) = Gamma(c_j, pi xi^2)/Gamma(c_j), c_j = 1/4 + a_j/2, is used once
   the test suite has pinned it against the quadrature.  Both m-sums carry
   certified truncation tails.
@@ -43,7 +57,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _cgamma
 from scipy.special import gammaincc, loggamma
 
@@ -67,6 +80,7 @@ __all__ = [
     "epsilon_factor",
     "x_factor",
     "lvalue_afe",
+    "lvalues_afe",
     "lvalue_direct",
     "hurwitz_zeta",
     "hecke_l_series",
@@ -206,17 +220,83 @@ def _v_quadrature(alpha: complex, j: int, xs: np.ndarray, g_choice: str,
         w = _contour_weights(c, alpha_key, j, g_choice, t_step, t_max)
         lx = np.log(xs[sel])
         vals = np.empty(sel.sum(), dtype=np.complex128)
-        chunk = 512
-        for i in range(0, len(lx), chunk):
-            block = np.exp(-np.outer(lx[i : i + chunk], s))
-            vals[i : i + chunk] = block @ w
+        for i in range(0, len(lx), _CHUNK):
+            block = np.exp(-np.outer(lx[i : i + _CHUNK], s))
+            vals[i : i + _CHUNK] = block @ w
         if left:
             vals += 1.0
         out[sel] = vals
     return out
 
 
-_V_SPLINE_CACHE: dict[tuple, tuple[CubicSpline, float, float, float]] = {}
+_CHUNK = 512  # rows of m^{-s} (or (m/A)^{-s}) held at once
+
+
+class _PowerTable:
+    """E[m-1, k] = m^{-s_k} for m = 1.._CHUNK and the nodes s_k of one contour.
+
+    The storage is allocated once at full size and never regrown; rows are
+    filled in place on first use, and untouched rows of the `np.empty`
+    block take no resident memory, so the table costs only the rows some
+    conductor has needed.
+    """
+
+    def __init__(self, s: np.ndarray):
+        self.s = s
+        self.rows = np.empty((_CHUNK, len(s)), dtype=np.complex128)
+        self.filled = 0
+
+    def upto(self, M: int) -> int:
+        """Fill rows 1..min(M, _CHUNK); return how many are available."""
+        M = min(M, _CHUNK)
+        for m in range(self.filled + 1, M + 1):
+            row = self.rows[m - 1]
+            np.multiply(self.s, -math.log(m), out=row)
+            np.exp(row, out=row)
+        self.filled = max(self.filled, M)
+        return M
+
+
+_POWER_TABLES: dict[tuple, _PowerTable] = {}
+
+
+def _power_table(c: float, t_step: float, t_max: float) -> _PowerTable:
+    key = (c, t_step, t_max)
+    table = _POWER_TABLES.get(key)
+    if table is None:
+        table = _POWER_TABLES[key] = _PowerTable(_contour_nodes(c, t_step, t_max))
+    return table
+
+
+def _v_folded(alpha: complex, j: int, A: float, M: int, config: AFEConfig) -> np.ndarray:
+    """V_{alpha,j}(m/A) for m = 1..M off the shared m^{-s} tables.
+
+    Same contours and nodes as `_v_quadrature`: m < A on the line left of 0
+    (plus the residue 1), m >= A on Re(s) = 2.
+    """
+    alpha = complex(alpha)
+    aj = _a_j(j)
+    c_left = max(-0.25, (-0.5 - aj - alpha.real) / 2)
+    alpha_key = (alpha.real, alpha.imag)
+    n_left = min(M, math.ceil(A) - 1)  # the m with m < A
+    out = np.empty(M, dtype=np.complex128)
+    for lo, hi, c in ((1, n_left, c_left), (n_left + 1, M, 2.0)):
+        if lo > hi:
+            continue
+        table = _power_table(c, config.t_step, config.t_max)
+        w = _contour_weights(c, alpha_key, j, config.g_choice, config.t_step, config.t_max)
+        wA = w * np.exp(table.s * math.log(A))
+        top = table.upto(hi)
+        if lo <= top:
+            out[lo - 1 : top] = table.rows[lo - 1 : top] @ wA
+        for start in range(max(lo, top + 1), hi + 1, _CHUNK):
+            m = np.arange(start, min(start + _CHUNK, hi + 1), dtype=float)
+            out[start - 1 : start - 1 + len(m)] = np.exp(-np.outer(np.log(m), table.s)) @ wA
+    out[:n_left] += 1.0
+    return out
+
+
+_V_SPLINE_CACHE: dict[tuple, tuple] = {}
 
 
 def _v_spline(j: int, g_choice: str, t_step: float, t_max: float):
@@ -232,6 +312,8 @@ def _v_spline(j: int, g_choice: str, t_step: float, t_max: float):
     hit = _V_SPLINE_CACHE.get(key)
     if hit is not None:
         return hit
+    from scipy.interpolate import CubicSpline
+
     u = np.arange(-16.0, 13.0, 0.004)
     vals = _v_quadrature(0j, j, np.exp(u), g_choice, t_step, t_max).real
     spline = CubicSpline(u, vals)
@@ -332,7 +414,7 @@ def _cutoff_contour(A: float, sigma: float, alpha: complex, j: int,
     return best_M, best
 
 
-def _afe_cutoff(A: float, sigma: float, alpha: complex, j: int,
+def _afe_cutoff(q: int, A: float, sigma: float, alpha: complex, j: int,
                 config: AFEConfig) -> tuple[int, float]:
     eps = config.truncation_eps
     if alpha == 0 and config.g_choice == "constant_one":
@@ -341,7 +423,8 @@ def _afe_cutoff(A: float, sigma: float, alpha: complex, j: int,
         M, tail = _cutoff_contour(A, sigma, alpha, j, config.g_choice, eps)
     if M > config.term_budget:
         raise TruncationError(
-            f"certified tail {eps:g} needs {M} terms (budget {config.term_budget})"
+            f"conductor q={q}: certified tail {eps:g} needs {M} terms "
+            f"(budget {config.term_budget})"
         )
     return M, tail
 
@@ -374,36 +457,68 @@ def x_factor(alpha: complex, j: int, q: int) -> complex:
     return complex(np.exp(-alpha * math.log(q / math.pi)) * ratio)
 
 
-def lvalue_afe(chi: QuarticCharacter, alpha: complex = 0j,
-               config: AFEConfig = DEFAULT_AFE) -> LValueRecord:
-    """L(1/2 + alpha, chi) by the approximate functional equation."""
+def _afe_v(alpha: complex, j: int, A: float, M: int, config: AFEConfig):
+    """V_{alpha,j}(m/A) for m = 1..M and its per-value error bound: the
+    closed form or the Gaussian-G spline where `v_values` has one, else the
+    shared-table route."""
+    if alpha == 0 and (
+        config.use_closed_form if config.g_choice == "constant_one" else M > 64
+    ):
+        return v_values(alpha, j, np.arange(1, M + 1, dtype=float) / A, config)
+    return _v_folded(alpha, j, A, M, config), 1e-12
+
+
+def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
+                config: AFEConfig = DEFAULT_AFE) -> list[LValueRecord]:
+    """L(1/2 + alpha, chi) by the approximate functional equation for each
+    chi in `chars`, in the same order.
+
+    Everything but the character values depends only on the conductor: the
+    split A*B = q, both cutoffs and tails, V_{alpha} and V_{-alpha}, the
+    m^{-1/2 -+ alpha} coefficients and X.  They are computed once per
+    conductor and shared by its characters.
+    """
     alpha = complex(alpha)
     if abs(alpha.real) >= 0.5:
         raise ValueError("the AFE requires |Re(alpha)| < 1/2")
-    q, j = chi.q, chi.parity()
-    A = float(config.split_a) if config.split_a else math.sqrt(q)
-    B = q / A
-    s1, s2 = 0.5 + alpha.real, 0.5 - alpha.real
-    M1, tail1 = _afe_cutoff(A, s1, alpha, j, config)
-    M2, tail2 = _afe_cutoff(B, s2, -alpha, j, config)
-    e = character_exponents(chi, max(M1, M2))
+    by_q: dict[int, list[int]] = {}
+    for i, chi in enumerate(chars):
+        by_q.setdefault(chi.q, []).append(i)
+    out: list[LValueRecord | None] = [None] * len(chars)
+    for q, idx in by_q.items():
+        j = chars[idx[0]].parity()
+        A = float(config.split_a) if config.split_a else math.sqrt(q)
+        B = q / A
+        M1, tail1 = _afe_cutoff(q, A, 0.5 + alpha.real, alpha, j, config)
+        M2, tail2 = _afe_cutoff(q, B, 0.5 - alpha.real, -alpha, j, config)
 
-    m1 = np.arange(1, M1 + 1, dtype=float)
-    V1, verr1 = v_values(alpha, j, m1 / A, config)
-    coeff1 = m1 ** -0.5 if alpha == 0 else np.exp(-(0.5 + alpha) * np.log(m1))
-    S1 = complex(np.sum(exponents_to_complex(e[1 : M1 + 1]) * coeff1 * V1))
+        m1 = np.arange(1, M1 + 1, dtype=float)
+        V1, verr1 = _afe_v(alpha, j, A, M1, config)
+        coeff1 = m1 ** -0.5 if alpha == 0 else np.exp(-(0.5 + alpha) * np.log(m1))
 
-    m2 = np.arange(1, M2 + 1, dtype=float)
-    V2, verr2 = v_values(-alpha, j, m2 / B, config)
-    coeff2 = m2 ** -0.5 if alpha == 0 else np.exp(-(0.5 - alpha) * np.log(m2))
-    e2 = e[1 : M2 + 1]
-    conj_vals = np.where(e2 < 0, 0, _I_POW[(-e2) & 3])
-    S2 = complex(np.sum(conj_vals * coeff2 * V2))
+        m2 = np.arange(1, M2 + 1, dtype=float)
+        V2, verr2 = _afe_v(-alpha, j, B, M2, config)
+        coeff2 = m2 ** -0.5 if alpha == 0 else np.exp(-(0.5 - alpha) * np.log(m2))
 
-    L = S1 + epsilon_factor(chi) * x_factor(alpha, j, q) * S2
-    err = tail1 + tail2 + 2.0 * (verr1 * math.sqrt(M1) + verr2 * math.sqrt(M2)) + 1e-12
-    return LValueRecord(q=q, a=chi.n.a, b=chi.n.b, value=L, method="afe",
-                        err_estimate=err)
+        X = x_factor(alpha, j, q)
+        err = tail1 + tail2 + 2.0 * (verr1 * math.sqrt(M1) + verr2 * math.sqrt(M2)) + 1e-12
+        for i in idx:
+            chi = chars[i]
+            e = character_exponents(chi, max(M1, M2))
+            S1 = complex(np.sum(exponents_to_complex(e[1 : M1 + 1]) * coeff1 * V1))
+            e2 = e[1 : M2 + 1]
+            conj_vals = np.where(e2 < 0, 0, _I_POW[(-e2) & 3])
+            S2 = complex(np.sum(conj_vals * coeff2 * V2))
+            L = S1 + epsilon_factor(chi) * X * S2
+            out[i] = LValueRecord(q=q, a=chi.n.a, b=chi.n.b, value=L, method="afe",
+                                  err_estimate=err)
+    return out
+
+
+def lvalue_afe(chi: QuarticCharacter, alpha: complex = 0j,
+               config: AFEConfig = DEFAULT_AFE) -> LValueRecord:
+    """L(1/2 + alpha, chi) by the approximate functional equation."""
+    return lvalues_afe([chi], alpha, config)[0]
 
 
 # ----------------------------------------------------------------------
@@ -661,4 +776,5 @@ def clear_lfunction_caches() -> None:
     _contour_weights.cache_clear()
     _ln_contour_mass.cache_clear()
     _V_SPLINE_CACHE.clear()
+    _POWER_TABLES.clear()
     constants.cache_clear()

@@ -40,7 +40,7 @@ from .lfunctions import (
     LValueRecord,
     TruncationError,
     constants,
-    lvalue_afe,
+    lvalues_afe,
 )
 from .sieves import squarefree_mask
 from .symbols import quartic_exponent_fast
@@ -53,6 +53,7 @@ __all__ = [
     "SieveReport",
     "central_values",
     "first_moment",
+    "moment_family",
     "nonvanishing_count",
     "second_moment",
     "sieve_ratio_quartic",
@@ -75,12 +76,9 @@ def clear_moment_caches() -> None:
 
 
 def _afe_worker(args):
-    ab_list, are, aim, config = args
-    out = []
-    for q, a, b in ab_list:
-        chi = QuarticCharacter(GaussInt(a, b), q)
-        out.append(lvalue_afe(chi, complex(are, aim), config))
-    return out
+    triples, are, aim, config = args
+    chars = [QuarticCharacter(GaussInt(a, b), q) for q, a, b in triples]
+    return lvalues_afe(chars, complex(are, aim), config)
 
 
 def central_values(
@@ -91,36 +89,34 @@ def central_values(
 ) -> list[LValueRecord]:
     """AFE central values for a list of characters, ascending (q, a, b).
 
-    Results are memoized per (generator, alpha, config); with workers > 1
-    the missing values are computed in a process pool and reduced in sorted
-    order, so the output is independent of the worker count.
+    Results are memoized per (generator, alpha, config).  The missing values
+    are computed conductor by conductor (`lvalues_afe`); with workers > 1,
+    whole conductors are dealt round-robin to a process pool and the records
+    reduced in sorted order, so the output is independent of the worker
+    count.
     """
     alpha = complex(alpha)
     ckey = config.key()
     order = sorted(chars, key=lambda c: (c.q, c.n.a, c.n.b))
-    missing = []
+    by_q: dict[int, list[tuple[int, int, int]]] = {}
     for chi in order:
         key = (chi.q, chi.n.a, chi.n.b, alpha.real, alpha.imag, ckey)
         if key not in _LVALUE_MEMO:
-            missing.append(chi)
-    if missing:
-        triples = [(c.q, c.n.a, c.n.b) for c in missing]
-        if workers > 1 and len(missing) > 8:
-            chunks = max(workers * 4, 1)
-            tasks = [
-                (triples[i::chunks], alpha.real, alpha.imag, config)
-                for i in range(chunks)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_afe_worker, tasks))
-            recs = [r for block in results for r in block]
-        else:
-            try:
-                recs = _afe_worker((triples, alpha.real, alpha.imag, config))
-            except TruncationError as exc:
-                raise TruncationError(f"{exc} (while processing {len(triples)} characters)")
-        for rec in recs:
-            _LVALUE_MEMO[(rec.q, rec.a, rec.b, alpha.real, alpha.imag, ckey)] = rec
+            by_q.setdefault(chi.q, []).append((chi.q, chi.n.a, chi.n.b))
+    conductors = list(by_q.values())
+    triples = [t for group in conductors for t in group]
+    if workers > 1 and len(triples) > 8:
+        chunks = min(workers * 4, len(conductors))
+        tasks = [
+            ([t for group in conductors[i::chunks] for t in group], alpha.real, alpha.imag, config)
+            for i in range(chunks)
+        ]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            recs = [r for block in pool.map(_afe_worker, tasks) for r in block]
+    else:
+        recs = _afe_worker((triples, alpha.real, alpha.imag, config))
+    for rec in recs:
+        _LVALUE_MEMO[(rec.q, rec.a, rec.b, alpha.real, alpha.imag, ckey)] = rec
     out = []
     for chi in order:
         out.append(_LVALUE_MEMO[(chi.q, chi.n.a, chi.n.b, alpha.real, alpha.imag, ckey)])
@@ -151,6 +147,13 @@ def moment_records(
 # ----------------------------------------------------------------------
 # first moment
 # ----------------------------------------------------------------------
+
+
+def moment_family(Q: int, weight: WeightFunction) -> list[QuarticCharacter]:
+    """The characters the first moment at Q sums over: lo*Q < q < hi*Q for
+    the weight's support (lo, hi)."""
+    lo, hi = weight.support
+    return [c for c in characters_upto(int(hi * Q)) if lo * Q < c.q < hi * Q]
 
 
 @dataclass(frozen=True)
@@ -199,8 +202,7 @@ def first_moment(
     if Q < 10:
         raise ValueError("Q must be at least 10")
     w = weight or bump_weight()
-    lo, hi = w.support
-    chars = [c for c in characters_upto(int(hi * Q)) if lo * Q < c.q < hi * Q]
+    chars = moment_family(Q, w)
     try:
         recs = moment_records(chars, config, workers, method)
     except TruncationError as exc:

@@ -18,7 +18,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = ["WeightFunction", "bump_weight"]
 
@@ -50,6 +49,8 @@ class WeightFunction:
 
     def mellin(self, s: complex) -> complex:
         """w~(s) = int_1^2 w(x) x^{s-1} dx by adaptive quadrature."""
+        from scipy.integrate import quad
+
         s = complex(s)
 
         def re_part(x):

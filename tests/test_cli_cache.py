@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from quartic_moments.cache import (
     CacheCorruptError,
+    _body,
     cache_roundtrip,
     read_lvalue_cache,
     write_lvalue_cache,
 )
 from quartic_moments.cli import dispatch
 from quartic_moments.lfunctions import LValueRecord
+from quartic_moments.moments import moment_family, moment_records
+from quartic_moments.weights import bump_weight
 
 
 def run_cli(args):
@@ -89,6 +92,22 @@ def test_moment_json_stability():
     assert a.stdout == b.stdout  # byte-identical reports
     payload = json.loads(a.stdout)
     assert payload["Q"] == 60 and "ratio" in payload
+
+
+def test_cli_import_skips_scipy_integrate_and_interpolate():
+    code = (
+        "import sys, quartic_moments.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.strip() == "[]"
+
+
+def test_moment_csv_is_cache_body():
+    out = run_cli(["moment", "--Q", "60", "--csv"])
+    assert out.returncode == 0
+    assert out.stdout == _body(moment_records(moment_family(60, bump_weight())))
 
 
 def test_sieve_and_second_moment_cli():

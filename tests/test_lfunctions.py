@@ -8,6 +8,8 @@ from scipy.special import zeta as scipy_zeta
 from quartic_moments.characters import characters_upto
 from quartic_moments.gauss_sums import dirichlet_gauss_sum
 from quartic_moments.gaussint import GaussInt
+import quartic_moments
+from quartic_moments import lfunctions
 from quartic_moments.lfunctions import (
     AFEConfig,
     TruncationError,
@@ -20,6 +22,7 @@ from quartic_moments.lfunctions import (
     hurwitz_zeta,
     lvalue_afe,
     lvalue_direct,
+    lvalues_afe,
     v_function,
     v_values,
     x_factor,
@@ -90,6 +93,27 @@ def test_v_gaussian_spline_matches_quadrature():
     assert np.max(np.abs(sp[::7] - direct)) < max(5 * err, 1e-9)
 
 
+def _folded_vs_oracle(alpha, j, A, M, cfg):
+    got = lfunctions._v_folded(alpha, j, A, M, cfg)
+    xs = np.arange(1, M + 1, dtype=float) / A
+    ref = lfunctions._v_quadrature(alpha, j, xs, cfg.g_choice, cfg.t_step, cfg.t_max)
+    return float(np.max(np.abs(got - ref)))
+
+
+def test_v_folded_matches_quadrature_oracle():
+    # the shared m^{-s} table route against direct (m/A)^{-s} quadrature;
+    # m runs to 4A, across both contours
+    for g in ("constant_one", "gaussian"):
+        cfg = AFEConfig(g_choice=g)
+        for alpha in (5j, -5j, 0.25, -0.3, 0.1 + 0.5j):
+            for j in (1, -1):
+                for q in (5, 101, 997):
+                    A = math.sqrt(q)
+                    assert _folded_vs_oracle(alpha, j, A, 4 * math.ceil(A), cfg) <= 1e-13
+    # rows past the 512-row table are streamed
+    assert _folded_vs_oracle(5j, 1, math.sqrt(997), 600, AFEConfig()) <= 1e-13
+
+
 def test_v_rejects_nonpositive():
     with pytest.raises(ValueError):
         v_function(0, 1, 0.0)
@@ -157,6 +181,26 @@ def test_afe_at_shifted_alpha():
         rec = lvalue_afe(chi, alpha, AFEConfig(truncation_eps=1e-8))
         ref = lvalue_direct(chi, 0.5 + alpha)
         assert abs(rec.value - ref.value) < 1e-6
+
+
+def test_afe_at_t5_against_direct_oracle():
+    # s = 1/2 + 5i on seeded characters near the top of the second-moment
+    # family; the batch and the batch of one give the same bytes
+    chars = [c for c in characters_upto(1000) if 500 < c.q <= 1000]
+    sample = sorted(random.Random(5).sample(chars, 8), key=lambda c: (c.q, c.n.a, c.n.b))
+    batch = lvalues_afe(sample, 5j)
+    for chi, rec in zip(sample, batch):
+        ref = lvalue_direct(chi, 0.5 + 5j)
+        assert abs(rec.value - ref.value) <= rec.err_estimate + ref.err_estimate
+        assert lvalue_afe(chi, 5j) == rec
+
+
+def test_clear_caches_empties_power_tables():
+    chi = [c for c in characters_upto(13) if c.q == 13][0]
+    lvalue_afe(chi, 5j)
+    assert lfunctions._POWER_TABLES
+    quartic_moments.clear_all_caches()
+    assert not lfunctions._POWER_TABLES
 
 
 def test_direct_oracle_properties():

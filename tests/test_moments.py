@@ -5,7 +5,7 @@ import pytest
 
 import quartic_moments
 from quartic_moments.characters import characters_upto
-from quartic_moments.lfunctions import AFEConfig, lvalue_direct
+from quartic_moments.lfunctions import AFEConfig, TruncationError, lvalue_direct
 from quartic_moments.moments import (
     central_values,
     first_moment,
@@ -58,6 +58,25 @@ def test_first_moment_worker_invariance():
     quartic_moments.clear_all_caches()
     two = first_moment(150, workers=2).to_dict()
     assert json.dumps(base, sort_keys=True) == json.dumps(two, sort_keys=True)
+
+
+def test_second_moment_shifted_worker_invariance():
+    base = second_moment(300, t=5.0).to_dict()
+    quartic_moments.clear_all_caches()
+    two = second_moment(300, t=5.0, workers=2).to_dict()
+    assert json.dumps(base, sort_keys=True) == json.dumps(two, sort_keys=True)
+
+
+def test_truncation_error_same_on_both_paths():
+    chars = characters_upto(100)
+    messages = []
+    for workers in (1, 2):
+        quartic_moments.clear_all_caches()
+        with pytest.raises(TruncationError) as info:
+            central_values(chars, 0j, AFEConfig(term_budget=3), workers=workers)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "q=5" in messages[0] and "budget 3" in messages[0]
 
 
 def test_main_term_consistency_across_truncation():
