@@ -22,8 +22,11 @@ rational-entry symbols gives
 defining-sum oracle it is tested against.
 
 Direct sums evaluate the symbol over a whole residue system through cached
-per-prime character tables (index walk on a generator of the multiplicative
-group), which the tests pin against the Euler criterion point by point.
+per-prime exponent tables, which the tests pin against the Euler criterion
+point by point.  A split prime's table is `characters.split_prime_table`,
+built vectorized from baby-step/giant-step powers of a primitive root; the
+character rows of `characters.character_exponents` gather from the same
+tables, so each split prime's table is built once and read by both.
 """
 
 from __future__ import annotations
@@ -34,18 +37,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import QuarticCharacter, character_exponents
+from .characters import QuarticCharacter, character_exponents, prime_table
 from .gaussint import (
     GaussInt,
     ONE,
-    divides,
     factor,
     gcd,
     hnf_box,
     is_primary,
     norm,
 )
-from .sieves import invmod, primitive_root, squarefree_mask
+from .sieves import squarefree_mask
 from .symbols import quartic_exponent_fast, supplement_i
 
 __all__ = [
@@ -72,7 +74,6 @@ _GAUSS_SUM_PRIME_CACHE: dict[tuple[int, int], complex] = {}
 
 def clear_gauss_caches() -> None:
     _GAUSS_SUM_PRIME_CACHE.clear()
-    _split_table.cache_clear()
     _inert_table.cache_clear()
     _primary_points_arrays.cache_clear()
 
@@ -88,34 +89,8 @@ def additive_char(num: GaussInt, den: GaussInt) -> complex:
 
 
 # ----------------------------------------------------------------------
-# per-prime multiplicative character tables
+# per-prime multiplicative character tables (split primes: prime_table)
 # ----------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _split_table(pa: int, pb: int) -> tuple[int, int, np.ndarray]:
-    """(p, s, table) for a split prime pi = pa + pb*i of norm p.
-
-    s is the image of i in Z[i]/(pi) = F_p; table[x] is the exponent of
-    (x/pi)_4 for x in F_p (table[0] is unused, masked by the caller).
-    """
-    pi = GaussInt(pa, pb)
-    p = norm(pi)
-    s = (pb * invmod(pa % p, p)) % p
-    g = primitive_root(p)
-    t4 = pow(g, (p - 1) // 4, p)
-    if divides(pi, GaussInt(t4, -1)):
-        e0 = 1
-    elif divides(pi, GaussInt(t4, 1)):
-        e0 = 3
-    else:
-        raise ArithmeticError(f"orientation of {pi} not found")
-    table = np.zeros(p, dtype=np.int8)
-    x = 1
-    for k in range(p - 1):
-        table[x] = (e0 * k) & 3
-        x = x * g % p
-    return p, s, table
 
 
 def _fq2_mul(x, y, p):
@@ -190,7 +165,7 @@ def _symbol_exponent_arrays(n: GaussInt, X: np.ndarray, Y: np.ndarray):
             zero |= idx == 0
             exps += e * table[idx]
         else:
-            p, s, table = _split_table(pi.a, pi.b)
+            p, s, table = prime_table(pi)
             t = (X + s * Y) % p
             zero |= t == 0
             exps += e * table[t]

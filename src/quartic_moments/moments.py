@@ -14,8 +14,10 @@ The family at conductor q is the 2^omega(q) characters chi_n classified in
 
 Everything is deterministic: fixed enumeration order, compensated (fsum)
 reductions in ascending (q, a, b), counter-based Philox streams keyed by
-(master seed, trial index), and einsum mat-vecs so no BLAS threading can
-reorder reductions.
+(master seed, trial index), and einsum mat-vecs in the sieves so no BLAS
+threading can reorder their reductions.  The V mat-vecs in `lfunctions` do
+use BLAS `@`; the test suite pins their rows bit-identical across call
+sizes, which worker invariance rests on.
 """
 
 from __future__ import annotations

@@ -14,10 +14,19 @@ from quartic_moments.characters import (
     enumerate_range,
     exponents_to_complex,
     hecke_eval,
+    prime_table,
     verify_correspondence,
 )
-from quartic_moments.gaussint import GaussInt, factor, is_primary, norm, primary_associate
-from quartic_moments.symbols import QuarticValue
+from quartic_moments.gaussint import (
+    GaussInt,
+    factor,
+    is_primary,
+    norm,
+    primary_associate,
+    prime_above,
+)
+from quartic_moments.sieves import factorize_small, primes_upto
+from quartic_moments.symbols import QuarticValue, _euler_exponent
 
 G = GaussInt
 
@@ -96,6 +105,52 @@ def test_character_exponents_table_matches_pointwise():
                 assert e[m] == v.exponent
         vals = exponents_to_complex(e)
         assert np.allclose(vals[1:], [chi(m).to_complex() for m in range(1, 201)])
+
+
+def test_character_exponents_large_q_match_descent():
+    # the table gather against the reciprocity descent chi(m), q in (8000, 16000]
+    chars = [c for c in characters_upto(16000) if c.q > 8000]
+    for chi in random.Random(24).sample(chars, 24):
+        primes = sorted(factorize_small(chi.q))
+        e = character_exponents(chi, max(400, 20 * primes[-1]))
+        ms = set(range(1, 401)) | {k * p for p in primes for k in range(1, 21)}
+        for m in sorted(ms):
+            v = chi(m)
+            assert e[m] == (-1 if v.is_zero else v.exponent), (chi, m)
+        for p in primes:
+            assert chi.prime_exponent(p) == -1
+        assert chi.prime_exponent(401) == e[401]
+
+
+def _euler_exponent_fp(x: int, pi: GaussInt) -> int:
+    """Euler criterion in F_p = Z[i]/(pi): x^{(p-1)/4} = i^k with i = -a/b."""
+    p = norm(pi)
+    i_image = -pi.a * pow(pi.b, -1, p) % p
+    r = pow(x, (p - 1) // 4, p)
+    return -1 if r == 0 else [1, i_image, p - 1, p - i_image].index(r)
+
+
+def test_split_prime_tables_match_euler_criterion():
+    # every x mod p for split p <= 1000, seeded samples at the five largest
+    # split p <= 16000; the F_p form of the Euler criterion is itself pinned
+    # to the Gaussian one (_euler_exponent) on seeded samples of every prime
+    rng = random.Random(16000)
+    split = [int(p) for p in primes_upto(16000) if p % 4 == 1]
+    for p in [p for p in split if p <= 1000] + split[-5:]:
+        pi = prime_above(p)
+        tables = []
+        for rho in (pi, pi.conj(), primary_associate(pi)):
+            got_p, s, T = prime_table(rho)
+            assert got_p == p and T.dtype == np.int8
+            assert (rho.a + rho.b * s) % p == 0  # s is the image of i mod rho
+            xs = range(1, p) if p <= 1000 else rng.sample(range(1, p), 400)
+            for x in xs:
+                assert T[x] == _euler_exponent_fp(x, rho), (rho, x)
+            for x in rng.sample(range(1, p), min(p - 1, 8 if p <= 1000 else 40)):
+                assert T[x] == _euler_exponent(G(x, 0), rho), (rho, x)
+            tables.append(T)
+        assert not np.any((tables[0][1:] + tables[1][1:]) & 3)  # T_pibar = -T_pi
+        assert np.array_equal(tables[0], tables[2])  # depends on the ideal only
 
 
 def test_parity_and_conjugates():

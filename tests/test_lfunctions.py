@@ -114,6 +114,25 @@ def test_v_folded_matches_quadrature_oracle():
     assert _folded_vs_oracle(5j, 1, math.sqrt(997), 600, AFEConfig()) <= 1e-13
 
 
+def test_v_folded_rows_independent_of_call_size():
+    # the BLAS mat-vec must give each row the same bits whatever the slice
+    # length and however far the shared table was filled; worker invariance
+    # of shifted-moment reports rests on it
+    cfg = AFEConfig()
+    sizes = (7, 64, 257, 511)
+    for alpha in (5j, -5j):
+        for j in (1, -1):
+            for q in (5, 101, 997):
+                A = math.sqrt(q)
+                runs = []
+                for order in (sizes, sizes[::-1]):
+                    quartic_moments.clear_all_caches()
+                    runs += [lfunctions._v_folded(alpha, j, A, M, cfg) for M in order]
+                full = lfunctions._v_folded(alpha, j, A, sizes[-1], cfg)
+                for v in runs:
+                    assert np.array_equal(v, full[: len(v)])
+
+
 def test_v_rejects_nonpositive():
     with pytest.raises(ValueError):
         v_function(0, 1, 0.0)

@@ -45,6 +45,20 @@ def test_first_moment_determinism():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_clear_all_caches_empties_prime_tables():
+    from quartic_moments import characters, gauss_sums
+
+    quartic_moments.clear_all_caches()
+    before = json.dumps(first_moment(300).to_dict(), sort_keys=True)
+    assert characters.split_prime_table.cache_info().currsize
+    assert gauss_sums._GAUSS_SUM_PRIME_CACHE
+    quartic_moments.clear_all_caches()
+    assert characters.split_prime_table.cache_info().currsize == 0
+    assert not gauss_sums._GAUSS_SUM_PRIME_CACHE
+    after = json.dumps(first_moment(300).to_dict(), sort_keys=True)
+    assert after == before
+
+
 def test_first_moment_per_q_rows_sum_to_moment():
     rep = first_moment(150, with_per_q=True)
     total = sum(complex(re, im) for _, re, im, _ in rep.per_q)
