@@ -39,6 +39,7 @@ import numpy as np
 
 from .characters import QuarticCharacter, character_exponents, prime_table
 from .gaussint import (
+    GaussFactorization,
     GaussInt,
     ONE,
     factor,
@@ -215,12 +216,13 @@ def gauss_sum_factored(n: GaussInt) -> complex:
     Much faster than the defining sum for repeated use; the test suite pins
     it against `gauss_sum`.
     """
-    nn = norm(n)
-    if nn % 2 == 0:
+    if norm(n) % 2 == 0:
         raise ValueError(f"even-norm modulus {n}")
-    if nn == 1:
-        return 1 + 0j
-    fact = factor(n)
+    return _gauss_sum_from_factorization(factor(n))
+
+
+def _gauss_sum_from_factorization(fact: GaussFactorization) -> complex:
+    """g(n) by twisted multiplicativity, from the factorization of n."""
     if not fact.is_squarefree():
         return 0j
     primes = [pi for pi, _ in fact.factors]
@@ -293,7 +295,7 @@ def tau_closed_form(n: GaussInt) -> complex:
     exp = -k8 + 2 * s1pi
     if ((norm(n) - 1) // 4) % 2 == 1:  # (-1/n)_4 = -1: odd character
         exp -= 1
-    return complex(_I_POW[exp & 3]) * gauss_sum_factored(n)
+    return complex(_I_POW[exp & 3]) * _gauss_sum_from_factorization(fact)
 
 
 # ----------------------------------------------------------------------

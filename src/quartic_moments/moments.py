@@ -10,7 +10,8 @@ The family at conductor q is the 2^omega(q) characters chi_n classified in
   growth exponent across doubling Q;
 * empirical large-sieve ratios for the quartic-family double sum
   (dyadic q and m ranges, squarefree rational m) and for the quadratic
-  residue symbol double sum over squarefree Gaussian integers.
+  residue symbol double sum over squarefree Gaussian integers, whose
+  symbol matrix is built as a product of per-prime Legendre rows.
 
 Everything is deterministic: fixed enumeration order, compensated (fsum)
 reductions in ascending (q, a, b), counter-based Philox streams keyed by
@@ -35,7 +36,7 @@ from .characters import (
     characters_upto,
     exponents_to_complex,
 )
-from .gaussint import GaussInt, factor, primary_associate
+from .gaussint import GaussInt, factor, norm
 from .lfunctions import (
     AFEConfig,
     DEFAULT_AFE,
@@ -45,7 +46,6 @@ from .lfunctions import (
     lvalues_afe,
 )
 from .sieves import squarefree_mask
-from .symbols import quartic_exponent_fast
 from .weights import WeightFunction, bump_weight
 
 __all__ = [
@@ -416,9 +416,9 @@ def sieve_ratio_quartic(Q: int, M: int, trials: int = 20, rng_seed: int = 1) -> 
 
 
 @lru_cache(maxsize=4)
-def _gaussian_squarefree_points(limit: int) -> tuple[tuple[int, int, int], ...]:
+def _gaussian_squarefree_points(limit: int) -> tuple[tuple[int, int, int, tuple], ...]:
     """Squarefree odd-norm Gaussian integers (all associates) with norm <= limit,
-    sorted by (norm, a, b)."""
+    as (norm, a, b, primary prime divisors), sorted by (norm, a, b)."""
     out = []
     r = math.isqrt(limit)
     for a in range(-r - 1, r + 2):
@@ -426,26 +426,41 @@ def _gaussian_squarefree_points(limit: int) -> tuple[tuple[int, int, int], ...]:
             nn = a * a + b * b
             if nn < 1 or nn > limit or nn % 2 == 0:
                 continue
-            if nn == 1 or factor(GaussInt(a, b)).is_squarefree():
-                out.append((nn, a, b))
-    out.sort()
+            fact = factor(GaussInt(a, b))
+            if fact.is_squarefree():
+                out.append((nn, a, b, tuple(pi for pi, _ in fact.factors)))
+    out.sort(key=lambda pt: pt[:3])
     return tuple(out)
+
+
+def _legendre(x: np.ndarray, p: int) -> np.ndarray:
+    """Legendre symbols (x/p) in {0, 1, -1} as int8, for an odd prime p."""
+    table = np.full(p, -1, dtype=np.int8)
+    table[0] = 0
+    table[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    return table[x % p]
 
 
 @lru_cache(maxsize=4)
 def _quadratic_symbol_matrix(m_limit: int, n_limit: int):
     """int8 matrix S[i, j] = quadratic symbol (n_j / m_i) over squarefree
-    odd-norm points, plus the norm arrays for slicing."""
+    odd-norm points, plus the norm arrays for slicing.  Row i is the product
+    over pi | m_i of (n / pi)_2: ((n_a + n_b s) / p) at a split pi = a + bi of
+    norm p, s = -a/b the image of i in Z[i]/(pi) = F_p, and (N(n) / q) at an
+    inert pi = -q, as n^{(q^2-1)/2} = N(n)^{(q-1)/2} in F_{q^2}."""
     mpts = _gaussian_squarefree_points(m_limit)
     npts = _gaussian_squarefree_points(n_limit)
-    S = np.zeros((len(mpts), len(npts)), dtype=np.int8)
-    for i, (_, ma, mb) in enumerate(mpts):
-        mp = primary_associate(GaussInt(ma, mb))
-        for j, (_, na, nb) in enumerate(npts):
-            e = quartic_exponent_fast(na, nb, mp.a, mp.b)
-            S[i, j] = 0 if e < 0 else (1 - 2 * (e & 1))
-    m_norms = np.array([p[0] for p in mpts], dtype=np.int64)
-    n_norms = np.array([p[0] for p in npts], dtype=np.int64)
+    m_norms = np.array([pt[0] for pt in mpts], dtype=np.int64)
+    n_norms, na, nb = (np.array([pt[k] for pt in npts], dtype=np.int64) for k in range(3))
+    rows = {}
+    for pi in {pi for pt in mpts for pi in pt[3]}:
+        p = norm(pi)
+        rows[pi] = (_legendre(n_norms, -pi.a) if pi.b == 0
+                    else _legendre(na + nb * (-pi.a * pow(pi.b, -1, p) % p), p))
+    S = np.ones((len(mpts), len(npts)), dtype=np.int8)
+    for i, pt in enumerate(mpts):
+        for pi in pt[3]:
+            S[i] *= rows[pi]
     return m_norms, n_norms, S
 
 

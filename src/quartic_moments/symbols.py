@@ -192,8 +192,8 @@ def _is_primary_pair(ar: int, ai: int) -> bool:
 def quartic_exponent_fast(ar: int, ai: int, nr: int, ni: int) -> int:
     """Exponent of (a/n)_4 for primary n, as an int in {-1, 0, 1, 2, 3}.
 
-    -1 encodes the value 0.  Operates on raw integer pairs; this is the hot
-    path for character evaluation.
+    -1 encodes the value 0.  Operates on raw integer pairs; the pointwise
+    route and the oracle of the per-prime tables (character rows, sieves).
     """
     acc = 0
     while True:

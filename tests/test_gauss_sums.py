@@ -144,6 +144,23 @@ def test_tau_closed_form_examples():
         tau_closed_form(G(1, 2))
 
 
+def test_tau_closed_form_factors_once(monkeypatch):
+    from quartic_moments import gauss_sums
+
+    chi = next(c for c in characters_upto(1105) if c.q == 1105)  # 5 * 13 * 17
+    expected = tau_closed_form(chi.n)  # warms the prime Gauss sums
+    calls = []
+    real_factor = gauss_sums.factor
+
+    def counting_factor(n, *args, **kwargs):
+        calls.append(n)
+        return real_factor(n, *args, **kwargs)
+
+    monkeypatch.setattr(gauss_sums, "factor", counting_factor)
+    assert tau_closed_form(chi.n) == expected
+    assert calls == [chi.n]
+
+
 def test_h_series_guards_and_consistency():
     with pytest.raises(ValueError):
         h_series(G(1, 0), 1.5)

@@ -170,3 +170,82 @@ def test_central_values_sorted_and_memoized():
     assert keys == sorted(keys)
     recs2 = central_values(chars, 0j, AFEConfig())
     assert [r.value for r in recs2] == [r.value for r in recs]
+
+
+def _descent_matrix(points_m, points_n):
+    """The old builder: one reciprocity descent per entry, 0 where it is -1."""
+    from quartic_moments.gaussint import GaussInt, primary_associate
+    from quartic_moments.symbols import quartic_exponent_fast
+
+    S = np.zeros((len(points_m), len(points_n)), dtype=np.int8)
+    for i, (_, ma, mb, _) in enumerate(points_m):
+        mp = primary_associate(GaussInt(ma, mb))
+        for j, (_, na, nb, _) in enumerate(points_n):
+            e = quartic_exponent_fast(na, nb, mp.a, mp.b)
+            S[i, j] = 0 if e < 0 else 1 - 2 * (e & 1)
+    return S
+
+
+def test_quadratic_symbol_matrix_matches_descent():
+    from quartic_moments.moments import _gaussian_squarefree_points, _quadratic_symbol_matrix
+
+    pts = _gaussian_squarefree_points(128)
+    m_norms, n_norms, S = _quadratic_symbol_matrix(128, 128)
+    assert S.dtype == np.int8 and S.shape == (180, 180)
+    assert m_norms.tolist() == n_norms.tolist() == [pt[0] for pt in pts]
+    assert np.array_equal(S, _descent_matrix(pts, pts))
+
+
+def test_quadratic_symbol_matrix_matches_euler_criterion():
+    from quartic_moments.gaussint import GaussInt, divides
+    from quartic_moments.moments import _gaussian_squarefree_points, _quadratic_symbol_matrix
+    from quartic_moments.symbols import quadratic_symbol
+
+    pts = _gaussian_squarefree_points(512)
+    _, _, S = _quadratic_symbol_matrix(512, 512)
+    rng = np.random.default_rng(20261018)
+    cells = set(zip(rng.integers(0, len(pts), 2000).tolist(), rng.integers(0, len(pts), 2000).tolist()))
+    inert_rows = [i for i, pt in enumerate(pts) if any(pi.b == 0 for pi in pt[3])]
+    assert {-pi.a for i in inert_rows for pi in pts[i][3] if pi.b == 0} == {3, 7, 11, 19}
+    for i in inert_rows:
+        cells.update((i, int(j)) for j in rng.integers(0, len(pts), 3))
+    shared = 0
+    for i in rng.permutation(len(pts)).tolist():
+        primes = pts[i][3]
+        if not primes or shared >= 60:
+            continue
+        pi = primes[int(rng.integers(len(primes)))]
+        js = [j for j, pt in enumerate(pts) if divides(pi, GaussInt(pt[1], pt[2]))]
+        j = js[int(rng.integers(len(js)))]
+        cells.add((i, j))
+        shared += 1
+    assert len(cells) >= 2000 and shared >= 50
+    zeros = 0
+    for i, j in sorted(cells):
+        v = quadratic_symbol(GaussInt(pts[j][1], pts[j][2]), GaussInt(pts[i][1], pts[i][2]))
+        expected = 0 if v.is_zero else (1 if v.exponent == 0 else -1)
+        assert S[i, j] == expected, (pts[i][:3], pts[j][:3])
+        zeros += expected == 0
+    assert zeros >= 50
+
+
+def test_quadratic_symbol_matrix_rectangular_is_slice():
+    from quartic_moments.moments import _quadratic_symbol_matrix
+
+    m_rect, n_rect, S_rect = _quadratic_symbol_matrix(128, 512)
+    m_norms, n_norms, S = _quadratic_symbol_matrix(512, 512)
+    rows = m_norms <= 128
+    assert np.array_equal(m_rect, m_norms[rows])
+    assert np.array_equal(n_rect, n_norms)
+    assert np.array_equal(S_rect, S[rows])
+
+
+def test_quadratic_symbol_matrix_rebuild_after_clear():
+    from quartic_moments.moments import _quadratic_symbol_matrix
+
+    before = _quadratic_symbol_matrix(512, 512)
+    quartic_moments.clear_all_caches()
+    after = _quadratic_symbol_matrix(512, 512)
+    assert after[2] is not before[2]
+    for x, y in zip(before, after):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
