@@ -48,6 +48,7 @@ __all__ = [
     "exponents_to_complex",
     "split_prime_table",
     "prime_table",
+    "prime_signature",
     "verify_correspondence",
     "CorrespondenceReport",
     "hecke_eval",
@@ -153,17 +154,34 @@ def prime_table(pi: GaussInt) -> tuple[int, int, np.ndarray]:
     return p, s, table if s == s0 else (-table) & 3
 
 
-def _exponents_at(chi: QuarticCharacter, m: np.ndarray) -> np.ndarray:
-    """chi(m) exponents over an integer array m, with -1 marking 0: the sum
-    of +-T_p[m mod p] over p | q, the sign set by which prime above p
-    divides n."""
-    e = np.zeros(m.shape, dtype=np.int8)
-    zero = np.zeros(m.shape, dtype=bool)
+def prime_signature(chi: QuarticCharacter) -> list[tuple[int, np.ndarray, int]]:
+    """(p, T_p, sign) for each p | q, ascending: chi = prod_p chi_p with
+    chi_p(x) = i^{sign * T_p[x mod p]}.
+
+    The sign is +1 when n lies in the prime (p, i - s) of `split_prime_table`,
+    i.e. when a + b s = 0 mod p for n = a + bi, and -1 when n lies in its
+    conjugate; for a generator exactly one of the two holds.
+    """
+    a, b = chi.n.a, chi.n.b
+    out = []
     for p in factorize_small(chi.q):
         s, table = split_prime_table(p)
+        r = (a + b * s) % p
+        if r and (a - b * s) % p:
+            raise ValueError(f"{chi.n} lies over no prime above {p}")
+        out.append((p, table, -1 if r else 1))
+    return out
+
+
+def _exponents_at(chi: QuarticCharacter, m: np.ndarray) -> np.ndarray:
+    """chi(m) exponents over an integer array m, with -1 marking 0: the sum
+    of sign * T_p[m mod p] over the `prime_signature` of chi."""
+    e = np.zeros(m.shape, dtype=np.int8)
+    zero = np.zeros(m.shape, dtype=bool)
+    for p, table, sign in prime_signature(chi):
         r = m % p
         row = table[r]
-        e += row if (chi.n.a + chi.n.b * s) % p == 0 else -row
+        e += row if sign > 0 else -row
         zero |= r == 0
     e &= 3  # int8 wraparound is harmless: 256 = 0 mod 4
     e[zero] = -1

@@ -21,12 +21,16 @@ rational-entry symbols gives
 `tau_closed_form` implements exactly that; `dirichlet_gauss_sum` is the
 defining-sum oracle it is tested against.
 
+The L-value path uses neither: `tau_crt` multiplies one cached Dirichlet
+Gauss sum per split p | q by CRT, with no Z[i] factorization, and is pinned
+to both.
+
 Direct sums evaluate the symbol over a whole residue system through cached
 per-prime exponent tables, which the tests pin against the Euler criterion
 point by point.  A split prime's table is `characters.split_prime_table`,
 built vectorized from baby-step/giant-step powers of a primitive root; the
-character rows of `characters.character_exponents` gather from the same
-tables, so each split prime's table is built once and read by both.
+character rows of `characters.character_exponents` and `tau_crt` read the
+same tables, so each split prime's table is built once and shared.
 """
 
 from __future__ import annotations
@@ -37,7 +41,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import QuarticCharacter, character_exponents, prime_table
+from .characters import (
+    QuarticCharacter,
+    character_exponents,
+    prime_signature,
+    prime_table,
+    split_prime_table,
+)
 from .gaussint import (
     GaussFactorization,
     GaussInt,
@@ -58,6 +68,7 @@ __all__ = [
     "gauss_sum_factored",
     "dirichlet_gauss_sum",
     "tau_closed_form",
+    "tau_crt",
     "h_series",
     "SeriesValue",
     "gauss_average",
@@ -71,10 +82,12 @@ _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 _TWO_PI = 2.0 * math.pi
 
 _GAUSS_SUM_PRIME_CACHE: dict[tuple[int, int], complex] = {}
+_TAU_PRIME_CACHE: dict[int, complex] = {}
 
 
 def clear_gauss_caches() -> None:
     _GAUSS_SUM_PRIME_CACHE.clear()
+    _TAU_PRIME_CACHE.clear()
     _inert_table.cache_clear()
     _primary_points_arrays.cache_clear()
 
@@ -296,6 +309,70 @@ def tau_closed_form(n: GaussInt) -> complex:
     if ((norm(n) - 1) // 4) % 2 == 1:  # (-1/n)_4 = -1: odd character
         exp -= 1
     return complex(_I_POW[exp & 3]) * _gauss_sum_from_factorization(fact)
+
+
+def _tau_prime(p: int) -> complex:
+    """tau_p = sum_{x=1}^{p-1} chi_p(x) e(x/p), chi_p(x) = i^{T_p[x]} for the
+    table T_p of `split_prime_table(p)`.  Cached per p.
+
+    Pairing x with p - x, chi_p(-x) = chi_p(-1) chi_p(x) with
+    chi_p(-1) = (-1)^{(p-1)/4} (see `tau_crt`) folds the sum onto half the
+    residues: tau_p = 2 sum_{x <= (p-1)/2} chi_p(x) cos(2 pi x/p) for
+    p = 1 mod 8, and 2i times the same sum with sin for p = 5 mod 8.  One
+    bincount of the cos (or sin) values by T_p[x] gives the four real
+    periods eta_k, and tau_p is their combination sum_k i^k eta_k.
+    """
+    val = _TAU_PRIME_CACHE.get(p)
+    if val is None:
+        _, table = split_prime_table(p)
+        h = (p - 1) // 2
+        angle = np.arange(1, h + 1) * (_TWO_PI / p)
+        even = p % 8 == 1
+        eta = np.bincount(table[1 : h + 1], weights=np.cos(angle) if even else np.sin(angle),
+                          minlength=4)
+        half = complex(eta[0] - eta[2], eta[1] - eta[3])
+        val = _TAU_PRIME_CACHE[p] = 2 * half if even else 2j * half
+    return val
+
+
+def tau_crt(chi: QuarticCharacter) -> complex:
+    """tau(chi) = sum_{x mod q} chi(x) e(x/q) from one cached Gauss sum per
+    prime p | q: with chi = prod_p chi_p, chi_p(x) = i^{+-T_p[x]} (the
+    signs of `prime_signature`),
+
+        tau(chi) = i^{sum_p +-T_p[(q/p) mod p]} * prod_p tau_p^{+-},
+        tau_p^+ = tau_p,   tau_p^- = (-1)^{(p-1)/4} conj(tau_p).
+
+    Two identities give this.  (CRT) For coprime q1, q2 and chi_j mod q_j,
+    tau(chi_1 chi_2) = chi_1(q2) chi_2(q1) tau(chi_1) tau(chi_2): writing
+    x = x1 q2 + x2 q1 runs x over Z/q as (x1, x2) runs over Z/q1 x Z/q2,
+    e(x/q) = e(x1/q1) e(x2/q2), chi_1(x) = chi_1(x1 q2) and
+    chi_2(x) = chi_2(x2 q1), so the sum splits into
+    sum_x1 chi_1(x1 q2) e(x1/q1) = chi_1(q2) tau(chi_1) times its twin.
+    Induction over the primes gives tau(chi) = prod_p chi_p(q/p) tau(chi_p),
+    and chi_p(q/p) = i^{+-T_p[(q/p) mod p]}.  (Conjugate) For any chi mod q,
+    conj(tau(chi)) = sum_x conj(chi)(x) e(-x/q) = conj(chi)(-1) tau(conj(chi))
+    after x -> -x, and chi(-1) = +-1, so tau(conj(chi)) = chi(-1) conj(tau(chi)).
+    The table's character has T_p[-1] = (p-1)/2 mod 4 (since -1 = g^{(p-1)/2}),
+    so chi_p(-1) = (-1)^{(p-1)/4}, and tau_p^- = tau(conj(chi_p)).
+
+    Raises ValueError unless q is odd, squarefree and split, and n lies over
+    one prime above each p | q.
+    """
+    q = chi.q
+    acc = 0
+    val = 1 + 0j
+    primes = 1
+    for p, table, sign in prime_signature(chi):
+        t = _tau_prime(p)
+        if sign < 0:
+            t = t.conjugate() if p % 8 == 1 else -t.conjugate()
+        acc += sign * int(table[(q // p) % p])
+        val *= t
+        primes *= p
+    if primes != q:
+        raise ValueError(f"{q} is not a squarefree conductor")
+    return complex(_I_POW[acc & 3]) * val
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,13 @@ Two independent evaluation routes:
   the table route is tested against.  For G = 1, a = 0 the closed form
   V_j(xi) = Gamma(c_j, pi xi^2)/Gamma(c_j), c_j = 1/4 + a_j/2, is used once
   the test suite has pinned it against the quadrature.  Both m-sums carry
-  certified truncation tails.
+  certified truncation tails.  With the default split A = B = sqrt(q) and
+  a = 0, the dual sum has the same cutoff, tail, V and coefficients as the
+  first, so they are computed once.
+
+  The root number eps(chi) takes tau(chi) from `gauss_sums.tau_crt` (one
+  cached Dirichlet Gauss sum per split p | q, combined by CRT), so no Z[i]
+  factorization or Gaussian-prime Gauss sum runs on this path.
 
 * `lvalue_direct` -- the independent oracle
   L(s, chi) = q^{-s} sum_{r=1}^{q} chi(r) zeta(s, r/q) with the Hurwitz zeta
@@ -65,7 +71,7 @@ from .characters import (
     character_exponents,
     exponents_to_complex,
 )
-from .gauss_sums import dirichlet_gauss_sum, tau_closed_form
+from .gauss_sums import dirichlet_gauss_sum, tau_closed_form, tau_crt
 from .sieves import primes_upto
 from .symbols import quartic_exponent_fast
 
@@ -434,9 +440,16 @@ def _afe_cutoff(q: int, A: float, sigma: float, alpha: complex, j: int,
 # ----------------------------------------------------------------------
 
 
-def epsilon_factor(chi: QuarticCharacter, route: str = "closed_form") -> complex:
-    """eps(chi) = i^{-a_{chi(-1)}} q^{-1/2} tau(chi)."""
-    if route == "closed_form":
+def epsilon_factor(chi: QuarticCharacter, route: str = "crt") -> complex:
+    """eps(chi) = i^{-a_{chi(-1)}} q^{-1/2} tau(chi).
+
+    tau(chi) comes from `tau_crt` (route 'crt', the L-value path), from the
+    Z[i] Gauss sum by `tau_closed_form` ('closed_form') or from the defining
+    sum `dirichlet_gauss_sum` ('direct').
+    """
+    if route == "crt":
+        tau = tau_crt(chi)
+    elif route == "closed_form":
         tau = tau_closed_form(chi.n)
     elif route == "direct":
         tau = dirichlet_gauss_sum(chi)
@@ -473,10 +486,11 @@ def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
     """L(1/2 + alpha, chi) by the approximate functional equation for each
     chi in `chars`, in the same order.
 
-    Everything but the character values depends only on the conductor: the
-    split A*B = q, both cutoffs and tails, V_{alpha} and V_{-alpha}, the
-    m^{-1/2 -+ alpha} coefficients and X.  They are computed once per
-    conductor and shared by its characters.
+    Everything but the character values and eps(chi) depends only on the
+    conductor: the split A*B = q, both cutoffs and tails, V_{alpha} and
+    V_{-alpha}, the m^{-1/2 -+ alpha} coefficients and X.  They are computed
+    once per conductor and shared by its characters; at alpha = 0 with the
+    default split B = A they are computed once for both sums.
     """
     alpha = complex(alpha)
     if abs(alpha.real) >= 0.5:
@@ -488,17 +502,20 @@ def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
     for q, idx in by_q.items():
         j = chars[idx[0]].parity()
         A = float(config.split_a) if config.split_a else math.sqrt(q)
-        B = q / A
         M1, tail1 = _afe_cutoff(q, A, 0.5 + alpha.real, alpha, j, config)
-        M2, tail2 = _afe_cutoff(q, B, 0.5 - alpha.real, -alpha, j, config)
-
         m1 = np.arange(1, M1 + 1, dtype=float)
         V1, verr1 = _afe_v(alpha, j, A, M1, config)
         coeff1 = m1 ** -0.5 if alpha == 0 else np.exp(-(0.5 + alpha) * np.log(m1))
 
-        m2 = np.arange(1, M2 + 1, dtype=float)
-        V2, verr2 = _afe_v(-alpha, j, B, M2, config)
-        coeff2 = m2 ** -0.5 if alpha == 0 else np.exp(-(0.5 - alpha) * np.log(m2))
+        if alpha == 0 and not config.split_a:
+            # B = A = sqrt(q): the dual sum has the same terms
+            M2, tail2, V2, verr2, coeff2 = M1, tail1, V1, verr1, coeff1
+        else:
+            B = q / A
+            M2, tail2 = _afe_cutoff(q, B, 0.5 - alpha.real, -alpha, j, config)
+            m2 = np.arange(1, M2 + 1, dtype=float)
+            V2, verr2 = _afe_v(-alpha, j, B, M2, config)
+            coeff2 = m2 ** -0.5 if alpha == 0 else np.exp(-(0.5 - alpha) * np.log(m2))
 
         X = x_factor(alpha, j, q)
         err = tail1 + tail2 + 2.0 * (verr1 * math.sqrt(M1) + verr2 * math.sqrt(M2)) + 1e-12

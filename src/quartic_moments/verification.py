@@ -114,9 +114,10 @@ def suite_gauss_magnitude(max_norm: int = 2000) -> tuple[bool, dict]:
 
 def suite_root_number(max_q: int = 2000) -> tuple[bool, dict]:
     """tau_closed_form == dirichlet_gauss_sum to 1e-9, all conductors <= max_q;
-    also |eps(chi)| = 1 to 1e-9."""
-    bad_tau = bad_eps = total = 0
-    worst = 0.0
+    the production eps(chi) (`tau_crt`) equals the defining-sum route to
+    1e-9; and |eps(chi)| = 1 to 1e-9."""
+    bad_tau = bad_route = bad_eps = total = 0
+    worst = worst_route = 0.0
     for chi in characters_upto(max_q):
         total += 1
         t1 = tau_closed_form(chi.n)
@@ -125,13 +126,20 @@ def suite_root_number(max_q: int = 2000) -> tuple[bool, dict]:
         worst = max(worst, d)
         if d > 1e-9:
             bad_tau += 1
-        if abs(abs(epsilon_factor(chi)) - 1) > 1e-9:
+        eps = epsilon_factor(chi)
+        d = abs(eps - epsilon_factor(chi, route="direct"))
+        worst_route = max(worst_route, d)
+        if d > 1e-9:
+            bad_route += 1
+        if abs(abs(eps) - 1) > 1e-9:
             bad_eps += 1
-    return bad_tau == 0 and bad_eps == 0, {
+    return bad_tau == 0 and bad_route == 0 and bad_eps == 0, {
         "characters": total,
         "tau_failures": bad_tau,
+        "eps_route_failures": bad_route,
         "eps_failures": bad_eps,
         "worst_tau_diff": worst,
+        "worst_eps_route_diff": worst_route,
     }
 
 

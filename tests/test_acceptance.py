@@ -65,10 +65,13 @@ def test_criterion_03_gauss_magnitude():
 
 def test_criterion_04_root_number(root_number_result):
     ok, d = root_number_result
-    _line(4, d["tau_failures"] == 0,
+    passed = d["tau_failures"] == 0 and d["eps_route_failures"] == 0
+    _line(4, passed,
           f"tau closed form vs defining sum <= 1e-9 for {d['characters']} "
-          f"characters (worst {d['worst_tau_diff']:.2e})")
+          f"characters (worst {d['worst_tau_diff']:.2e}); production eps vs "
+          f"defining-sum eps worst {d['worst_eps_route_diff']:.2e}")
     assert d["tau_failures"] == 0
+    assert d["eps_route_failures"] == 0
 
 
 def test_criterion_05_afe():

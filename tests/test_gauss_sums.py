@@ -16,6 +16,7 @@ from quartic_moments.gauss_sums import (
     h_series,
     primary_points,
     tau_closed_form,
+    tau_crt,
 )
 from quartic_moments.gaussint import GaussInt, factor, gcd, norm
 from quartic_moments.symbols import quartic_symbol
@@ -159,6 +160,46 @@ def test_tau_closed_form_factors_once(monkeypatch):
     monkeypatch.setattr(gauss_sums, "factor", counting_factor)
     assert tau_closed_form(chi.n) == expected
     assert calls == [chi.n]
+
+
+def test_tau_crt_matches_defining_sum():
+    for chi in characters_upto(2000):
+        assert abs(tau_crt(chi) - dirichlet_gauss_sum(chi)) <= 1e-10, chi
+
+
+def test_tau_crt_matches_closed_form_large_q():
+    chars = [c for c in characters_upto(16000) if c.q > 8000]
+    for chi in random.Random(6).sample(chars, 50):
+        assert abs(tau_crt(chi) - tau_closed_form(chi.n)) <= 1e-10 * math.sqrt(chi.q), chi
+
+
+def test_prime_tau_and_conjugate_identity():
+    # tau_p against the defining sums over T_p and -T_p, every split p <= 5000
+    from quartic_moments.characters import split_prime_table
+    from quartic_moments.gauss_sums import _tau_prime
+    from quartic_moments.sieves import primes_upto
+
+    i_pow = np.array([1, 1j, -1, -1j])
+    for p in (int(p) for p in primes_upto(5000) if p % 4 == 1):
+        _, table = split_prime_table(p)
+        x = np.arange(1, p)
+        phase = np.exp(2j * math.pi * x / p)
+        direct = np.sum(i_pow[table[1:]] * phase)
+        direct_conj = np.sum(i_pow[(-table[1:]) & 3] * phase)
+        tau = _tau_prime(p)
+        assert abs(tau - direct) <= 1e-10, p
+        assert abs((-1) ** ((p - 1) // 4) * tau.conjugate() - direct_conj) <= 1e-10, p
+
+
+def test_tau_crt_rejects_invalid_characters():
+    from quartic_moments.characters import QuarticCharacter
+
+    with pytest.raises(ValueError):
+        tau_crt(QuarticCharacter(G(3, 4), 25))  # 5^2: not squarefree
+    with pytest.raises(ValueError):
+        tau_crt(QuarticCharacter(G(-3, 0), 9))  # 3 is inert
+    with pytest.raises(ValueError):
+        tau_crt(QuarticCharacter(G(3, 2), 65))  # 3 + 2i lies over 13 only
 
 
 def test_h_series_guards_and_consistency():

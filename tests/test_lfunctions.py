@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -154,6 +155,55 @@ def test_epsilon_factor():
     assert chi17.parity() == 1
     tau = dirichlet_gauss_sum(chi17)
     assert abs(epsilon_factor(chi17, route="direct") - tau / math.sqrt(17)) < 1e-12
+
+
+def test_lvalue_path_runs_no_gaussian_factorization(monkeypatch):
+    # the root numbers of the first moment come from the split-prime tables
+    from quartic_moments import characters, gauss_sums
+    from quartic_moments.moments import first_moment
+
+    quartic_moments.clear_all_caches()
+    expected = first_moment(300).to_dict()
+    quartic_moments.clear_all_caches()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Z[i] factorization or Gaussian-prime sum on the L-value path")
+
+    for module, name in ((gauss_sums, "factor"), (characters, "factor"),
+                         (gauss_sums, "gauss_sum_twisted"), (lfunctions, "tau_closed_form")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert first_moment(300).to_dict() == expected
+    assert gauss_sums._TAU_PRIME_CACHE
+
+
+def test_first_moment_workers_byte_identical():
+    from quartic_moments.moments import first_moment
+
+    quartic_moments.clear_all_caches()
+    one = json.dumps(first_moment(300).to_dict(), sort_keys=True)
+    quartic_moments.clear_all_caches()
+    two = json.dumps(first_moment(300, workers=2).to_dict(), sort_keys=True)
+    assert one == two
+
+
+def test_dual_sum_reused_at_center(monkeypatch):
+    # default split at alpha = 0: one V evaluation per conductor, and the
+    # value agrees with the explicit split A = sqrt(q), which sums both sides
+    chars = [c for c in characters_upto(1105) if c.q == 1105]
+    calls = []
+    real_v = lfunctions.v_values
+
+    def counting_v(*args, **kwargs):
+        calls.append(args)
+        return real_v(*args, **kwargs)
+
+    monkeypatch.setattr(lfunctions, "v_values", counting_v)
+    recs = lvalues_afe(chars)
+    assert len(calls) == 1
+    for chi, rec in zip(chars, recs):
+        alt = lvalue_afe(chi, 0j, AFEConfig(split_a=math.sqrt(chi.q)))
+        assert abs(rec.value - alt.value) <= rec.err_estimate
+    assert len(calls) == 1 + 2 * len(chars)
 
 
 # ----------------------------------------------------------------------

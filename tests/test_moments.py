@@ -51,10 +51,10 @@ def test_clear_all_caches_empties_prime_tables():
     quartic_moments.clear_all_caches()
     before = json.dumps(first_moment(300).to_dict(), sort_keys=True)
     assert characters.split_prime_table.cache_info().currsize
-    assert gauss_sums._GAUSS_SUM_PRIME_CACHE
+    assert gauss_sums._TAU_PRIME_CACHE
     quartic_moments.clear_all_caches()
     assert characters.split_prime_table.cache_info().currsize == 0
-    assert not gauss_sums._GAUSS_SUM_PRIME_CACHE
+    assert not gauss_sums._TAU_PRIME_CACHE
     after = json.dumps(first_moment(300).to_dict(), sort_keys=True)
     assert after == before
 
