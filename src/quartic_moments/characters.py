@@ -49,13 +49,17 @@ __all__ = [
     "split_prime_table",
     "prime_table",
     "prime_signature",
+    "conductor_signature",
+    "signature_exponents",
     "verify_correspondence",
     "CorrespondenceReport",
     "hecke_eval",
     "clear_character_caches",
 ]
 
-_I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)
+# i^k at index k = 0..3 and 0 at index 4, so an exponent array with -1
+# marking a zero value indexes it directly: -1 reads the trailing 0.
+_I_POW = np.array([1, 1j, -1, -1j, 0], dtype=np.complex128)
 
 
 class QuarticCharacter:
@@ -154,38 +158,61 @@ def prime_table(pi: GaussInt) -> tuple[int, int, np.ndarray]:
     return p, s, table if s == s0 else (-table) & 3
 
 
-def prime_signature(chi: QuarticCharacter) -> list[tuple[int, np.ndarray, int]]:
-    """(p, T_p, sign) for each p | q, ascending: chi = prod_p chi_p with
-    chi_p(x) = i^{sign * T_p[x mod p]}.
+def conductor_signature(q: int, ns) -> tuple[list[tuple[int, np.ndarray]], list[list[int]]]:
+    """The prime signatures of the characters chi_n, n in `ns`, of one
+    conductor q at once: the tables (p, T_p) of `split_prime_table` for the
+    primes p | q, ascending, and one sign row per n, so that
+    chi_n = prod_p chi_p^{sign_p} with chi_p(x) = i^{T_p[x mod p]}.
 
     The sign is +1 when n lies in the prime (p, i - s) of `split_prime_table`,
     i.e. when a + b s = 0 mod p for n = a + bi, and -1 when n lies in its
-    conjugate; for a generator exactly one of the two holds.
+    conjugate; for a generator exactly one of the two holds, and ValueError
+    is raised when neither does.  q is factored once for the whole batch.
     """
-    a, b = chi.n.a, chi.n.b
-    out = []
-    for p in factorize_small(chi.q):
+    tables: list[tuple[int, np.ndarray]] = []
+    signs: list[list[int]] = [[] for _ in ns]
+    for p in factorize_small(q):
         s, table = split_prime_table(p)
-        r = (a + b * s) % p
-        if r and (a - b * s) % p:
-            raise ValueError(f"{chi.n} lies over no prime above {p}")
-        out.append((p, table, -1 if r else 1))
-    return out
+        for n, row in zip(ns, signs):
+            r = (n.a + n.b * s) % p
+            if r and (n.a - n.b * s) % p:
+                raise ValueError(f"{n} lies over no prime above {p}")
+            row.append(-1 if r else 1)
+        tables.append((p, table))
+    return tables, signs
+
+
+def prime_signature(chi: QuarticCharacter) -> list[tuple[int, np.ndarray, int]]:
+    """(p, T_p, sign) for each p | q, ascending: chi = prod_p chi_p with
+    chi_p(x) = i^{sign * T_p[x]}; `conductor_signature` for one character."""
+    tables, (signs,) = conductor_signature(chi.q, [chi.n])
+    return [(p, table, sign) for (p, table), sign in zip(tables, signs)]
+
+
+def signature_exponents(tables: list[tuple[int, np.ndarray]], signs, m: np.ndarray) -> np.ndarray:
+    """int8 exponent matrix of the characters with sign rows `signs` over an
+    integer array m: E[c, k] = sum_p signs[c][p] T_p[m_k mod p] mod 4, and -1
+    where some p | m_k.
+
+    One `m mod p` gather per prime serves every row; the rows are combined by
+    the (exact, integer) product of the sign matrix with the gathered tables.
+    """
+    rows = np.empty((len(tables), len(m)), dtype=np.int8)
+    zero = np.zeros(len(m), dtype=bool)
+    for k, (p, table) in enumerate(tables):
+        r = m % p
+        rows[k] = table[r]
+        zero |= r == 0
+    e = np.asarray(signs, dtype=np.int8) @ rows
+    e &= 3  # int8 wraparound is harmless: 256 = 0 mod 4
+    e[:, zero] = -1
+    return e
 
 
 def _exponents_at(chi: QuarticCharacter, m: np.ndarray) -> np.ndarray:
-    """chi(m) exponents over an integer array m, with -1 marking 0: the sum
-    of sign * T_p[m mod p] over the `prime_signature` of chi."""
-    e = np.zeros(m.shape, dtype=np.int8)
-    zero = np.zeros(m.shape, dtype=bool)
-    for p, table, sign in prime_signature(chi):
-        r = m % p
-        row = table[r]
-        e += row if sign > 0 else -row
-        zero |= r == 0
-    e &= 3  # int8 wraparound is harmless: 256 = 0 mod 4
-    e[zero] = -1
-    return e
+    """chi(m) exponents over an integer array m, with -1 marking 0."""
+    tables, signs = conductor_signature(chi.q, [chi.n])
+    return signature_exponents(tables, signs, m)[0]
 
 
 def character_exponents(chi: QuarticCharacter, limit: int) -> np.ndarray:
@@ -200,8 +227,7 @@ def character_exponents(chi: QuarticCharacter, limit: int) -> np.ndarray:
 
 def exponents_to_complex(e: np.ndarray) -> np.ndarray:
     """Map an exponent array (with -1 for zero) to complex character values."""
-    vals = _I_POW[np.clip(e, 0, 3)]
-    return np.where(e < 0, 0, vals)
+    return _I_POW[e]
 
 
 def clear_character_caches() -> None:

@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import (
+    _I_POW,
     QuarticCharacter,
     character_exponents,
     prime_signature,
@@ -78,7 +79,6 @@ __all__ = [
     "clear_gauss_caches",
 ]
 
-_I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 _TWO_PI = 2.0 * math.pi
 
 _GAUSS_SUM_PRIME_CACHE: dict[tuple[int, int], complex] = {}
@@ -268,8 +268,7 @@ def dirichlet_gauss_sum(chi: QuarticCharacter) -> complex:
     e = character_exponents(chi, q)[1:]
     x = np.arange(1, q + 1)
     phase = np.exp((2j * math.pi / q) * x)
-    vals = np.where(e < 0, 0, _I_POW[np.clip(e, 0, 3)])
-    return complex(np.sum(vals * phase))
+    return complex(np.sum(_I_POW[e] * phase))
 
 
 def tau_closed_form(n: GaussInt) -> complex:
@@ -335,7 +334,7 @@ def _tau_prime(p: int) -> complex:
     return val
 
 
-def tau_crt(chi: QuarticCharacter) -> complex:
+def tau_crt(chi: QuarticCharacter, signature=None) -> complex:
     """tau(chi) = sum_{x mod q} chi(x) e(x/q) from one cached Gauss sum per
     prime p | q: with chi = prod_p chi_p, chi_p(x) = i^{+-T_p[x]} (the
     signs of `prime_signature`),
@@ -356,6 +355,8 @@ def tau_crt(chi: QuarticCharacter) -> complex:
     The table's character has T_p[-1] = (p-1)/2 mod 4 (since -1 = g^{(p-1)/2}),
     so chi_p(-1) = (-1)^{(p-1)/4}, and tau_p^- = tau(conj(chi_p)).
 
+    `signature` is chi's `prime_signature`, computed when not given (the
+    L-value kernel passes the rows of its per-conductor sign matrix).
     Raises ValueError unless q is odd, squarefree and split, and n lies over
     one prime above each p | q.
     """
@@ -363,7 +364,7 @@ def tau_crt(chi: QuarticCharacter) -> complex:
     acc = 0
     val = 1 + 0j
     primes = 1
-    for p, table, sign in prime_signature(chi):
+    for p, table, sign in prime_signature(chi) if signature is None else signature:
         t = _tau_prime(p)
         if sign < 0:
             t = t.conjugate() if p % 8 == 1 else -t.conjugate()

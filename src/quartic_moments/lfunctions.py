@@ -39,9 +39,16 @@ Two independent evaluation routes:
   a = 0, the dual sum has the same cutoff, tail, V and coefficients as the
   first, so they are computed once.
 
+  The characters enter once per conductor too: q is factored once into a
+  (characters x omega(q)) sign matrix, T_p[m mod p] is gathered once per
+  p | q, and the character values of the whole conductor form one
+  (characters x M) matrix whose row sums are the m-sums.  When V is real
+  and the dual sum has the same terms, S2 = conj(S1) exactly.
+
   The root number eps(chi) takes tau(chi) from `gauss_sums.tau_crt` (one
-  cached Dirichlet Gauss sum per split p | q, combined by CRT), so no Z[i]
-  factorization or Gaussian-prime Gauss sum runs on this path.
+  cached Dirichlet Gauss sum per split p | q, combined by CRT, with the
+  signs read from the conductor's sign matrix), so no Z[i] factorization
+  or Gaussian-prime Gauss sum runs on this path.
 
 * `lvalue_direct` -- the independent oracle
   L(s, chi) = q^{-s} sum_{r=1}^{q} chi(r) zeta(s, r/q) with the Hurwitz zeta
@@ -67,9 +74,11 @@ from scipy.special import gamma as _cgamma
 from scipy.special import gammaincc, loggamma
 
 from .characters import (
+    _I_POW,
     QuarticCharacter,
     character_exponents,
-    exponents_to_complex,
+    conductor_signature,
+    signature_exponents,
 )
 from .gauss_sums import dirichlet_gauss_sum, tau_closed_form, tau_crt
 from .sieves import primes_upto
@@ -100,7 +109,7 @@ __all__ = [
     "clear_lfunction_caches",
 ]
 
-_I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)
+_I_POW_CONJ = _I_POW[[0, 3, 2, 1, 4]]  # conj(i^k) = i^{-k}, read at exponent k
 
 
 class TruncationError(RuntimeError):
@@ -440,15 +449,16 @@ def _afe_cutoff(q: int, A: float, sigma: float, alpha: complex, j: int,
 # ----------------------------------------------------------------------
 
 
-def epsilon_factor(chi: QuarticCharacter, route: str = "crt") -> complex:
+def epsilon_factor(chi: QuarticCharacter, route: str = "crt", signature=None) -> complex:
     """eps(chi) = i^{-a_{chi(-1)}} q^{-1/2} tau(chi).
 
-    tau(chi) comes from `tau_crt` (route 'crt', the L-value path), from the
-    Z[i] Gauss sum by `tau_closed_form` ('closed_form') or from the defining
-    sum `dirichlet_gauss_sum` ('direct').
+    tau(chi) comes from `tau_crt` (route 'crt', the L-value path, reading
+    chi's prime `signature` when one is given), from the Z[i] Gauss sum by
+    `tau_closed_form` ('closed_form') or from the defining sum
+    `dirichlet_gauss_sum` ('direct').
     """
     if route == "crt":
-        tau = tau_crt(chi)
+        tau = tau_crt(chi, signature)
     elif route == "closed_form":
         tau = tau_closed_form(chi.n)
     elif route == "direct":
@@ -481,16 +491,36 @@ def _afe_v(alpha: complex, j: int, A: float, M: int, config: AFEConfig):
     return _v_folded(alpha, j, A, M, config), 1e-12
 
 
+_ROW_BLOCK = 1 << 18  # AFE terms formed at once: 4 MB of complex128
+
+
+def _row_sums(values: np.ndarray, E: np.ndarray, coeff: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """np.sum(values[E] * coeff * V, axis=1), a block of rows at a time so
+    that long sums (Gaussian G) hold no more terms than one row or
+    _ROW_BLOCK; each row's sum is the same whatever the blocking."""
+    step = max(1, _ROW_BLOCK // E.shape[1])
+    return np.concatenate([np.sum(values[E[r : r + step]] * coeff * V, axis=1)
+                           for r in range(0, len(E), step)])
+
+
 def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
                 config: AFEConfig = DEFAULT_AFE) -> list[LValueRecord]:
     """L(1/2 + alpha, chi) by the approximate functional equation for each
     chi in `chars`, in the same order.
 
-    Everything but the character values and eps(chi) depends only on the
-    conductor: the split A*B = q, both cutoffs and tails, V_{alpha} and
-    V_{-alpha}, the m^{-1/2 -+ alpha} coefficients and X.  They are computed
-    once per conductor and shared by its characters; at alpha = 0 with the
-    default split B = A they are computed once for both sums.
+    Everything is done once per conductor q for all of its characters: the
+    split A*B = q, both cutoffs and tails, V_{alpha} and V_{-alpha}, the
+    m^{-1/2 -+ alpha} coefficients and X (at alpha = 0 with the default
+    split B = A, once for both sums); the sign matrix of
+    `conductor_signature` (q factored once) and the int8
+    (characters x max(M1, M2)) exponent matrix of `signature_exponents` (one
+    T_p[m mod p] gather per p | q).  Both m-sums are row sums
+    np.sum(axis=1) of (i^e * coeff) * V, the elements and order of a lone
+    character's sum, so a value has the same bits in any batch and no BLAS
+    reduction enters.  S2 = conj(S1) exactly when the dual sum has the same
+    terms and V is real (closed form, spline); the contour table's complex
+    V keeps the explicit S2.  eps(chi) reads the character's sign row and
+    the cached tau_p.
     """
     alpha = complex(alpha)
     if abs(alpha.real) >= 0.5:
@@ -500,14 +530,16 @@ def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
         by_q.setdefault(chi.q, []).append(i)
     out: list[LValueRecord | None] = [None] * len(chars)
     for q, idx in by_q.items():
-        j = chars[idx[0]].parity()
+        group = [chars[i] for i in idx]
+        j = group[0].parity()
         A = float(config.split_a) if config.split_a else math.sqrt(q)
         M1, tail1 = _afe_cutoff(q, A, 0.5 + alpha.real, alpha, j, config)
         m1 = np.arange(1, M1 + 1, dtype=float)
         V1, verr1 = _afe_v(alpha, j, A, M1, config)
         coeff1 = m1 ** -0.5 if alpha == 0 else np.exp(-(0.5 + alpha) * np.log(m1))
 
-        if alpha == 0 and not config.split_a:
+        shared = alpha == 0 and not config.split_a
+        if shared:
             # B = A = sqrt(q): the dual sum has the same terms
             M2, tail2, V2, verr2, coeff2 = M1, tail1, V1, verr1, coeff1
         else:
@@ -517,16 +549,19 @@ def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
             V2, verr2 = _afe_v(-alpha, j, B, M2, config)
             coeff2 = m2 ** -0.5 if alpha == 0 else np.exp(-(0.5 - alpha) * np.log(m2))
 
+        tables, signs = conductor_signature(q, [chi.n for chi in group])
+        E = signature_exponents(tables, signs, np.arange(1, max(M1, M2) + 1))
+        S1 = _row_sums(_I_POW, E[:, :M1], coeff1, V1)
+        if shared and not V1.imag.any():
+            S2 = S1.conj()
+        else:
+            S2 = _row_sums(_I_POW_CONJ, E[:, :M2], coeff2, V2)
+
         X = x_factor(alpha, j, q)
         err = tail1 + tail2 + 2.0 * (verr1 * math.sqrt(M1) + verr2 * math.sqrt(M2)) + 1e-12
-        for i in idx:
-            chi = chars[i]
-            e = character_exponents(chi, max(M1, M2))
-            S1 = complex(np.sum(exponents_to_complex(e[1 : M1 + 1]) * coeff1 * V1))
-            e2 = e[1 : M2 + 1]
-            conj_vals = np.where(e2 < 0, 0, _I_POW[(-e2) & 3])
-            S2 = complex(np.sum(conj_vals * coeff2 * V2))
-            L = S1 + epsilon_factor(chi) * X * S2
+        for i, chi, row, s1, s2 in zip(idx, group, signs, S1, S2):
+            signature = [(p, table, sign) for (p, table), sign in zip(tables, row)]
+            L = complex(s1) + epsilon_factor(chi, signature=signature) * X * complex(s2)
             out[i] = LValueRecord(q=q, a=chi.n.a, b=chi.n.b, value=L, method="afe",
                                   err_estimate=err)
     return out
@@ -633,8 +668,7 @@ def hecke_l_series(m: int, s: complex, cutoff: int = 100_000) -> HeckeSeriesValu
     exps = np.empty(len(qs), dtype=np.int64)
     for i in range(len(qs)):
         exps[i] = quartic_exponent_fast(m, 0, int(As[i]), int(Bs[i]))
-    vals = np.where(exps < 0, 0, _I_POW[exps & 3])
-    terms = vals * qs.astype(float) ** (-s)
+    terms = _I_POW[exps] * qs.astype(float) ** (-s)
     total = complex(math.fsum(terms.real), math.fsum(terms.imag))
     sigma = s.real
     c = primary_count_bound_constant()

@@ -209,7 +209,8 @@ def first_moment(
         recs = moment_records(chars, config, workers, method)
     except TruncationError as exc:
         raise TruncationError(f"first_moment(Q={Q}): {exc}")
-    terms = [rec.value * float(w(rec.q / Q)) for rec in recs]
+    weights = w(np.array([rec.q for rec in recs]) / Q)
+    terms = [rec.value * float(wq) for rec, wq in zip(recs, weights)]
     moment = _fsum_complex(terms)
     per_q = None
     if with_per_q:

@@ -10,11 +10,14 @@ from quartic_moments.characters import (
     char_eval,
     character_exponents,
     characters_upto,
+    conductor_signature,
     enumerate_generators,
     enumerate_range,
     exponents_to_complex,
     hecke_eval,
+    prime_signature,
     prime_table,
+    signature_exponents,
     verify_correspondence,
 )
 from quartic_moments.gaussint import (
@@ -120,6 +123,29 @@ def test_character_exponents_large_q_match_descent():
         for p in primes:
             assert chi.prime_exponent(p) == -1
         assert chi.prime_exponent(401) == e[401]
+
+
+def test_exponents_to_complex_single_gather():
+    # the 5-entry table read equals the clip-and-mask form, bit for bit
+    e = np.array([-1, 0, 1, 2, 3, 3, -1, 2], dtype=np.int8)
+    old = np.where(e < 0, 0, np.array([1, 1j, -1, -1j])[np.clip(e, 0, 3)])
+    new = exponents_to_complex(e)
+    assert new.dtype == np.complex128
+    assert new.tobytes() == old.astype(np.complex128).tobytes()
+
+
+def test_conductor_signature_rows_match_single_characters():
+    for q in (5, 65, 1105, 1885, 6409):
+        chars = [c for c in characters_upto(q) if c.q == q]
+        tables, signs = conductor_signature(q, [c.n for c in chars])
+        assert [p for p, _ in tables] == sorted(factorize_small(q))
+        E = signature_exponents(tables, signs, np.arange(3 * q + 1))
+        assert E.dtype == np.int8 and E.shape == (len(chars), 3 * q + 1)
+        for chi, row, e in zip(chars, signs, E):
+            assert [(p, sign) for p, _, sign in prime_signature(chi)] == [
+                (p, sign) for (p, _), sign in zip(tables, row)
+            ]
+            assert np.array_equal(e, character_exponents(chi, 3 * q))
 
 
 def _euler_exponent_fp(x: int, pi: GaussInt) -> int:

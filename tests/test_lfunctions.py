@@ -207,6 +207,76 @@ def test_dual_sum_reused_at_center(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the per-conductor kernel
+# ----------------------------------------------------------------------
+
+
+def _conductor(q):
+    return [c for c in characters_upto(q) if c.q == q]
+
+
+def test_kernel_matches_direct_oracle_three_primes():
+    # 1105 = 5 * 13 * 17: eight characters share one sign matrix
+    chars = _conductor(1105)
+    assert len(chars) == 8
+    for chi, rec in zip(chars, lvalues_afe(chars)):
+        ref = lvalue_direct(chi, 0.5)
+        assert abs(rec.value - ref.value) <= rec.err_estimate + ref.err_estimate, chi
+
+
+@pytest.mark.parametrize("alpha", [0j, 5j])
+def test_kernel_same_bits_in_any_batch(alpha, monkeypatch):
+    chars = _conductor(1105) + _conductor(65) + _conductor(1885) + _conductor(13)
+    batch = lvalues_afe(chars, alpha)
+    monkeypatch.setattr(lfunctions, "_ROW_BLOCK", 1)  # one row per block
+    assert lvalues_afe(chars, alpha) == batch
+    monkeypatch.undo()
+    rev = lvalues_afe(chars[::-1], alpha)[::-1]
+    perm = list(range(len(chars)))
+    random.Random(7).shuffle(perm)
+    shuffled = lvalues_afe([chars[k] for k in perm], alpha)
+    for chi, rec, rec_rev, k in zip(chars, batch, rev, range(len(chars))):
+        assert rec.value.real.hex() == rec_rev.value.real.hex(), chi
+        assert rec.value.imag.hex() == rec_rev.value.imag.hex(), chi
+        assert shuffled[perm.index(k)] == rec
+        assert lvalue_afe(chi, alpha) == rec
+
+
+def test_kernel_rejects_invalid_characters():
+    from quartic_moments.characters import QuarticCharacter
+
+    with pytest.raises(ValueError):
+        lvalues_afe(_conductor(65) + [QuarticCharacter(G(3, 2), 65)])  # over 13 only
+    with pytest.raises(ValueError):
+        lvalues_afe([QuarticCharacter(G(3, 4), 25)])  # 5^2: not squarefree
+
+
+def test_kernel_contour_v_at_center_matches_closed_form():
+    # the contour table's V is complex, so the dual sum is summed explicitly
+    chars = _conductor(1105) + _conductor(13) + _conductor(997)
+    closed = lvalues_afe(chars)
+    contour = lvalues_afe(chars, 0j, AFEConfig(use_closed_form=False))
+    for chi, a, b in zip(chars, closed, contour):
+        assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate, chi
+
+
+def test_kernel_factors_each_conductor_once(monkeypatch):
+    from quartic_moments import characters
+
+    chars = [c for c in characters_upto(2000) if c.q > 1000]
+    calls = []
+    real = characters.factorize_small
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(characters, "factorize_small", counting)
+    lvalues_afe(chars)
+    assert sorted(calls) == sorted({c.q for c in chars})
+
+
+# ----------------------------------------------------------------------
 # AFE vs the direct oracle
 # ----------------------------------------------------------------------
 

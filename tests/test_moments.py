@@ -59,6 +59,27 @@ def test_clear_all_caches_empties_prime_tables():
     assert after == before
 
 
+def test_first_moment_runs_no_per_character_rows(monkeypatch):
+    # the kernel reads its sign matrix, not one signature or row per character
+    import sys
+
+    from quartic_moments import characters
+
+    quartic_moments.clear_all_caches()
+    expected = json.dumps(first_moment(300).to_dict(), sort_keys=True)
+    quartic_moments.clear_all_caches()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-character signature or row on the L-value path")
+
+    for name in ("prime_signature", "character_exponents"):
+        real = getattr(characters, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("quartic_moments") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, forbidden)
+    assert json.dumps(first_moment(300).to_dict(), sort_keys=True) == expected
+
+
 def test_first_moment_per_q_rows_sum_to_moment():
     rep = first_moment(150, with_per_q=True)
     total = sum(complex(re, im) for _, re, im, _ in rep.per_q)
