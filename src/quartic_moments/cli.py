@@ -50,14 +50,8 @@ def _effective_config(args: argparse.Namespace) -> dict:
 
 
 def _afe_config(args: argparse.Namespace) -> AFEConfig:
-    kwargs = {}
-    if getattr(args, "g_choice", None):
-        kwargs["g_choice"] = args.g_choice
-    if getattr(args, "truncation_eps", None):
-        kwargs["truncation_eps"] = args.truncation_eps
-    if getattr(args, "split_a", None):
-        kwargs["split_a"] = args.split_a
-    return AFEConfig(**kwargs)
+    kwargs = {k: getattr(args, k, None) for k in ("g_choice", "truncation_eps", "split_a")}
+    return AFEConfig(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 def _cmd_symbol(args) -> int:

@@ -29,8 +29,9 @@ Direct sums evaluate the symbol over a whole residue system through cached
 per-prime exponent tables, which the tests pin against the Euler criterion
 point by point.  A split prime's table is `characters.split_prime_table`,
 built vectorized from baby-step/giant-step powers of a primitive root; the
-character rows of `characters.character_exponents` and `tau_crt` read the
-same tables, so each split prime's table is built once and shared.
+L-value path's character rows (`characters.signature_exponents`) and
+`tau_crt` read the same tables, so each split prime's table is built once
+and shared.
 """
 
 from __future__ import annotations

@@ -110,6 +110,8 @@ __all__ = [
 ]
 
 _I_POW_CONJ = _I_POW[[0, 3, 2, 1, 4]]  # conj(i^k) = i^{-k}, read at exponent k
+_T_STEP = 0.04  # trapezoid step of the contour quadrature
+_T_MAX = 60.0  # the contour runs over |Im s| <= _T_MAX
 
 
 class TruncationError(RuntimeError):
@@ -122,30 +124,37 @@ class AFEConfig:
 
     g_choice: 'constant_one' (G = 1) or 'gaussian' (G = e^{s^2}).
     split_a:  the A in A*B = q; None means A = sqrt(q).
-    truncation_eps: certified bound for each of the two m-sum tails.
-    t_step / t_max: trapezoid step and cut for the contour quadrature.
+    truncation_eps: certified bound for each of the two m-sum tails, in (0, 1).
     use_closed_form: allow the incomplete-gamma form of V at G = 1, a = 0.
+    term_budget: the most terms either m-sum may take.
+
+    The contour quadrature's trapezoid step and cut are the fixed _T_STEP
+    and _T_MAX; `key` keeps them in its 6-tuple, so reports name them.
     """
 
     g_choice: str = "constant_one"
     split_a: float | None = None
     truncation_eps: float = 1e-9
-    t_step: float = 0.04
-    t_max: float = 60.0
     use_closed_form: bool = True
     term_budget: int = 2_000_000
 
     def __post_init__(self):
         if self.g_choice not in ("constant_one", "gaussian"):
             raise ValueError(f"unknown G choice {self.g_choice!r}")
+        if not 0 < self.truncation_eps < 1:
+            raise ValueError(f"truncation_eps must lie in (0, 1), not {self.truncation_eps!r}")
+        if self.split_a is not None and not self.split_a > 0:
+            raise ValueError(f"split_a must be positive, not {self.split_a!r}")
+        if self.term_budget < 1:
+            raise ValueError(f"term_budget must be at least 1, not {self.term_budget!r}")
 
     def key(self) -> tuple:
         return (
             self.g_choice,
             self.split_a,
             self.truncation_eps,
-            self.t_step,
-            self.t_max,
+            _T_STEP,
+            _T_MAX,
             self.use_closed_form,
         )
 
@@ -191,29 +200,27 @@ def gamma_factor(alpha: complex, j: int, s: complex) -> complex:
 
 
 @lru_cache(maxsize=64)
-def _contour_nodes(c: float, t_step: float, t_max: float):
-    t = np.arange(-t_max, t_max + t_step / 2, t_step)
+def _contour_nodes(c: float):
+    t = np.arange(-_T_MAX, _T_MAX + _T_STEP / 2, _T_STEP)
     return c + 1j * t
 
 
 @lru_cache(maxsize=256)
-def _contour_weights(c: float, alpha_key: tuple, j: int, g_choice: str,
-                     t_step: float, t_max: float) -> np.ndarray:
+def _contour_weights(c: float, alpha_key: tuple, j: int, g_choice: str) -> np.ndarray:
     """G(s)/s * gamma_{alpha,j}(s) * dt/(2 pi) along Re(s) = c."""
     alpha = complex(*alpha_key)
     aj = _a_j(j)
-    s = _contour_nodes(c, t_step, t_max)
+    s = _contour_nodes(c)
     G = np.exp(s * s) if g_choice == "gaussian" else 1.0
     gam = (
         np.exp(-(s / 2) * math.log(math.pi))
         * _cgamma((0.5 + aj + alpha + s) / 2)
         / _cgamma((0.5 + aj + alpha) / 2)
     )
-    return G * gam / s * (t_step / (2 * math.pi))
+    return G * gam / s * (_T_STEP / (2 * math.pi))
 
 
-def _v_quadrature(alpha: complex, j: int, xs: np.ndarray, g_choice: str,
-                  t_step: float, t_max: float) -> np.ndarray:
+def _v_quadrature(alpha: complex, j: int, xs: np.ndarray, g_choice: str) -> np.ndarray:
     """V_{alpha,j} on an array of positive x by contour quadrature.
 
     For x < 1 the line is moved just left of 0 (crossing only the pole at
@@ -231,8 +238,8 @@ def _v_quadrature(alpha: complex, j: int, xs: np.ndarray, g_choice: str,
         if not np.any(sel):
             continue
         c = c_left if left else 2.0
-        s = _contour_nodes(c, t_step, t_max)
-        w = _contour_weights(c, alpha_key, j, g_choice, t_step, t_max)
+        s = _contour_nodes(c)
+        w = _contour_weights(c, alpha_key, j, g_choice)
         lx = np.log(xs[sel])
         vals = np.empty(sel.sum(), dtype=np.complex128)
         for i in range(0, len(lx), _CHUNK):
@@ -272,14 +279,13 @@ class _PowerTable:
         return M
 
 
-_POWER_TABLES: dict[tuple, _PowerTable] = {}
+_POWER_TABLES: dict[float, _PowerTable] = {}
 
 
-def _power_table(c: float, t_step: float, t_max: float) -> _PowerTable:
-    key = (c, t_step, t_max)
-    table = _POWER_TABLES.get(key)
+def _power_table(c: float) -> _PowerTable:
+    table = _POWER_TABLES.get(c)
     if table is None:
-        table = _POWER_TABLES[key] = _PowerTable(_contour_nodes(c, t_step, t_max))
+        table = _POWER_TABLES[c] = _PowerTable(_contour_nodes(c))
     return table
 
 
@@ -298,8 +304,8 @@ def _v_folded(alpha: complex, j: int, A: float, M: int, config: AFEConfig) -> np
     for lo, hi, c in ((1, n_left, c_left), (n_left + 1, M, 2.0)):
         if lo > hi:
             continue
-        table = _power_table(c, config.t_step, config.t_max)
-        w = _contour_weights(c, alpha_key, j, config.g_choice, config.t_step, config.t_max)
+        table = _power_table(c)
+        w = _contour_weights(c, alpha_key, j, config.g_choice)
         wA = w * np.exp(table.s * math.log(A))
         top = table.upto(hi)
         if lo <= top:
@@ -314,7 +320,7 @@ def _v_folded(alpha: complex, j: int, A: float, M: int, config: AFEConfig) -> np
 _V_SPLINE_CACHE: dict[tuple, tuple] = {}
 
 
-def _v_spline(j: int, g_choice: str, t_step: float, t_max: float):
+def _v_spline(j: int, g_choice: str):
     """Dense log-x spline of V_{0,j} for G = e^{s^2}, with a validated error.
 
     The gaussian G makes V decay only like exp(-(log x)^2/4), so AFE sums
@@ -323,17 +329,17 @@ def _v_spline(j: int, g_choice: str, t_step: float, t_max: float):
     direct quadrature on an offset grid and the observed max error is
     reported alongside every value.
     """
-    key = (j, g_choice, t_step, t_max)
+    key = (j, g_choice)
     hit = _V_SPLINE_CACHE.get(key)
     if hit is not None:
         return hit
     from scipy.interpolate import CubicSpline
 
     u = np.arange(-16.0, 13.0, 0.004)
-    vals = _v_quadrature(0j, j, np.exp(u), g_choice, t_step, t_max).real
+    vals = _v_quadrature(0j, j, np.exp(u), g_choice).real
     spline = CubicSpline(u, vals)
     probe = u[500:-500:937] + 0.002
-    direct = _v_quadrature(0j, j, np.exp(probe), g_choice, t_step, t_max).real
+    direct = _v_quadrature(0j, j, np.exp(probe), g_choice).real
     err = float(np.max(np.abs(spline(probe) - direct)))
     entry = (spline, err, float(u[0]), float(u[-1]))
     _V_SPLINE_CACHE[key] = entry
@@ -350,14 +356,11 @@ def v_values(alpha: complex, j: int, xs, config: AFEConfig = DEFAULT_AFE):
         c = 0.25 + _a_j(j) / 2
         return gammaincc(c, math.pi * xs * xs).astype(np.complex128), 1e-13
     if alpha == 0 and config.g_choice == "gaussian" and len(xs) > 64:
-        spline, err, lo, hi = _v_spline(j, config.g_choice, config.t_step, config.t_max)
+        spline, err, lo, hi = _v_spline(j, config.g_choice)
         u = np.log(xs)
         if u.min() >= lo and u.max() <= hi:
             return spline(u).astype(np.complex128), max(err, 1e-13)
-    return (
-        _v_quadrature(alpha, j, xs, config.g_choice, config.t_step, config.t_max),
-        1e-12,
-    )
+    return _v_quadrature(alpha, j, xs, config.g_choice), 1e-12
 
 
 def v_function(alpha: complex, j: int, x: float, config: AFEConfig = DEFAULT_AFE) -> complex:
@@ -532,13 +535,13 @@ def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
     for q, idx in by_q.items():
         group = [chars[i] for i in idx]
         j = group[0].parity()
-        A = float(config.split_a) if config.split_a else math.sqrt(q)
+        A = math.sqrt(q) if config.split_a is None else float(config.split_a)
         M1, tail1 = _afe_cutoff(q, A, 0.5 + alpha.real, alpha, j, config)
         m1 = np.arange(1, M1 + 1, dtype=float)
         V1, verr1 = _afe_v(alpha, j, A, M1, config)
         coeff1 = m1 ** -0.5 if alpha == 0 else np.exp(-(0.5 + alpha) * np.log(m1))
 
-        shared = alpha == 0 and not config.split_a
+        shared = alpha == 0 and config.split_a is None
         if shared:
             # B = A = sqrt(q): the dual sum has the same terms
             M2, tail2, V2, verr2, coeff2 = M1, tail1, V1, verr1, coeff1

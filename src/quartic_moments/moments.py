@@ -24,9 +24,8 @@ sizes, which worker invariance rests on.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -63,11 +62,8 @@ __all__ = [
     "clear_moment_caches",
 ]
 
-_LVALUE_MEMO: dict[tuple, LValueRecord] = {}
-
 
 def clear_moment_caches() -> None:
-    _LVALUE_MEMO.clear()
     _gaussian_squarefree_points.cache_clear()
     _quadratic_symbol_matrix.cache_clear()
 
@@ -75,12 +71,6 @@ def clear_moment_caches() -> None:
 # ----------------------------------------------------------------------
 # the L-value engine
 # ----------------------------------------------------------------------
-
-
-def _afe_worker(args):
-    triples, are, aim, config = args
-    chars = [QuarticCharacter(GaussInt(a, b), q) for q, a, b in triples]
-    return lvalues_afe(chars, complex(are, aim), config)
 
 
 def central_values(
@@ -91,38 +81,27 @@ def central_values(
 ) -> list[LValueRecord]:
     """AFE central values for a list of characters, ascending (q, a, b).
 
-    Results are memoized per (generator, alpha, config).  The missing values
-    are computed conductor by conductor (`lvalues_afe`); with workers > 1,
-    whole conductors are dealt round-robin to a process pool and the records
-    reduced in sorted order, so the output is independent of the worker
-    count.
+    The sorted characters go to `lvalues_afe`, which works conductor by
+    conductor; nothing is kept between calls.  With workers > 1, whole
+    conductors are dealt round-robin to a process pool and the records
+    restored to sorted order; each value has the same bits in any batch, so
+    the output is independent of the worker count.
     """
-    alpha = complex(alpha)
-    ckey = config.key()
     order = sorted(chars, key=lambda c: (c.q, c.n.a, c.n.b))
-    by_q: dict[int, list[tuple[int, int, int]]] = {}
+    if workers <= 1 or len(order) <= 8:
+        return lvalues_afe(order, alpha, config)
+    from concurrent.futures import ProcessPoolExecutor
+
+    by_q: dict[int, list[QuarticCharacter]] = {}
     for chi in order:
-        key = (chi.q, chi.n.a, chi.n.b, alpha.real, alpha.imag, ckey)
-        if key not in _LVALUE_MEMO:
-            by_q.setdefault(chi.q, []).append((chi.q, chi.n.a, chi.n.b))
+        by_q.setdefault(chi.q, []).append(chi)
     conductors = list(by_q.values())
-    triples = [t for group in conductors for t in group]
-    if workers > 1 and len(triples) > 8:
-        chunks = min(workers * 4, len(conductors))
-        tasks = [
-            ([t for group in conductors[i::chunks] for t in group], alpha.real, alpha.imag, config)
-            for i in range(chunks)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            recs = [r for block in pool.map(_afe_worker, tasks) for r in block]
-    else:
-        recs = _afe_worker((triples, alpha.real, alpha.imag, config))
-    for rec in recs:
-        _LVALUE_MEMO[(rec.q, rec.a, rec.b, alpha.real, alpha.imag, ckey)] = rec
-    out = []
-    for chi in order:
-        out.append(_LVALUE_MEMO[(chi.q, chi.n.a, chi.n.b, alpha.real, alpha.imag, ckey)])
-    return out
+    chunks = min(workers * 4, len(conductors))
+    tasks = [[chi for group in conductors[i::chunks] for chi in group] for i in range(chunks)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        blocks = pool.map(partial(lvalues_afe, alpha=alpha, config=config), tasks)
+        recs = [r for block in blocks for r in block]
+    return sorted(recs, key=lambda r: (r.q, r.a, r.b))
 
 
 def _fsum_complex(values) -> complex:
@@ -469,10 +448,14 @@ def sieve_ratio_quadratic(M: int, N: int, trials: int = 20, rng_seed: int = 1,
                           matrix_limit: int | None = None) -> SieveReport:
     """max over +-1 trials of
     [sum'_{N(m)<=M} |sum'_{N(n)<=N} a_n (n/m)|^2] / [(M+N) sum |a_n|^2],
-    both sums over squarefree odd-norm Gaussian integers."""
+    both sums over squarefree odd-norm Gaussian integers.  The symbol matrix
+    is built to norm `matrix_limit` (default max(M, N)), so a grid can share
+    one cached matrix; a limit below max(M, N) would drop terms."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    limit = matrix_limit or max(M, N)
+    limit = max(M, N) if matrix_limit is None else matrix_limit
+    if limit < max(M, N):
+        raise ValueError(f"matrix_limit {limit} is below max(M, N) = {max(M, N)}")
     m_norms, n_norms, S = _quadratic_symbol_matrix(limit, limit)
     rows = m_norms <= M
     cols = n_norms <= N

@@ -65,6 +65,9 @@ def test_lvalue_json_and_methods():
     assert abs(complex(afe["re"], afe["im"]) - complex(direct["re"], direct["im"])) < 1e-6
     bad = run_cli(["lvalue", "--q", "13", "--a", "-1", "--b", "-2"])
     assert bad.returncode == 2
+    # invalid AFE settings are usage errors, not replaced by the defaults
+    for flag in (["--truncation-eps", "0"], ["--split-a", "0"]):
+        assert dispatch(["lvalue", "--q", "5", "--a", "-1", "--b", "-2", *flag]) == 2
 
 
 def test_verify_subcommand_exit_codes():
@@ -97,7 +100,8 @@ def test_moment_json_stability():
 def test_cli_import_skips_scipy_integrate_and_interpolate():
     code = (
         "import sys, quartic_moments.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])"
+        "print([m for m in ('scipy.integrate', 'scipy.interpolate', 'multiprocessing', "
+        "'concurrent.futures.process') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0

@@ -97,7 +97,7 @@ def test_v_gaussian_spline_matches_quadrature():
 def _folded_vs_oracle(alpha, j, A, M, cfg):
     got = lfunctions._v_folded(alpha, j, A, M, cfg)
     xs = np.arange(1, M + 1, dtype=float) / A
-    ref = lfunctions._v_quadrature(alpha, j, xs, cfg.g_choice, cfg.t_step, cfg.t_max)
+    ref = lfunctions._v_quadrature(alpha, j, xs, cfg.g_choice)
     return float(np.max(np.abs(got - ref)))
 
 
@@ -311,6 +311,16 @@ def test_afe_rejects_bad_alpha_and_budget():
         lvalue_afe(chi, 0.6)
     with pytest.raises(TruncationError):
         lvalue_afe(chi, 0j, AFEConfig(term_budget=3))
+    # settings that would otherwise divide by zero or be silently replaced
+    for kwargs in ({"truncation_eps": 0.0}, {"truncation_eps": 1.0}, {"truncation_eps": -1e-9},
+                   {"split_a": 0.0}, {"split_a": -2.0}, {"term_budget": 0}):
+        with pytest.raises(ValueError):
+            AFEConfig(**kwargs)
+
+
+def test_afe_config_key_names_the_contour_constants():
+    # reports print this tuple; the quadrature's step and cut keep their places
+    assert AFEConfig().key() == ("constant_one", None, 1e-9, 0.04, 60.0, True)
 
 
 def test_afe_at_shifted_alpha():

@@ -1,11 +1,12 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
 import quartic_moments
 from quartic_moments.characters import characters_upto
-from quartic_moments.lfunctions import AFEConfig, TruncationError, lvalue_direct
+from quartic_moments.lfunctions import AFEConfig, TruncationError, lvalue_direct, lvalues_afe
 from quartic_moments.moments import (
     central_values,
     first_moment,
@@ -182,15 +183,27 @@ def test_sieve_quadratic_basics_and_diagonal():
     rep_swap = sieve_ratio_quadratic(32, 64, trials=3, rng_seed=5, matrix_limit=64)
     rep_orig = sieve_ratio_quadratic(64, 32, trials=3, rng_seed=5, matrix_limit=64)
     assert rep_swap.max_ratio > 0 and rep_orig.max_ratio > 0
+    # a matrix below max(M, N) would drop terms and still report (M, N)
+    with pytest.raises(ValueError, match="matrix_limit"):
+        sieve_ratio_quadratic(128, 128, trials=1, matrix_limit=32)
+    with pytest.raises(ValueError, match="matrix_limit"):
+        sieve_ratio_quadratic(32, 64, trials=1, matrix_limit=48)
 
 
-def test_central_values_sorted_and_memoized():
+def test_central_values_sorted_and_repeatable():
     chars = characters_upto(100)
     recs = central_values(chars, 0j, AFEConfig())
     keys = [(r.q, r.a, r.b) for r in recs]
     assert keys == sorted(keys)
     recs2 = central_values(chars, 0j, AFEConfig())
     assert [r.value for r in recs2] == [r.value for r in recs]
+
+
+def test_central_values_pool_equals_kernel_on_sorted_characters():
+    chars = characters_upto(400)
+    shuffled = random.Random(9).sample(chars, len(chars))
+    expected = lvalues_afe(sorted(chars, key=lambda c: (c.q, c.n.a, c.n.b)))
+    assert repr(central_values(shuffled, 0j, AFEConfig(), workers=2)) == repr(expected)
 
 
 def _descent_matrix(points_m, points_n):
