@@ -8,14 +8,15 @@ Format:
 
 Rows are sorted by (q, a, b); floats carry 17 significant digits so binary64
 values roundtrip bit-exactly.  Files are rewritten atomically (temp file +
-rename); a checksum mismatch refuses to load.
+rename) and keep the mode of the file they replace (a new file gets
+0o666 less the umask, as `open` would give it); a checksum mismatch, or a
+row that does not parse, refuses to load.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 
 from .lfunctions import LValueRecord
 
@@ -43,10 +44,17 @@ def write_lvalue_cache(path: str, records: list[LValueRecord]) -> None:
     digest = hashlib.sha256(body.encode()).hexdigest()
     payload = f"# sha256={digest}\n{body}"
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".lvalue-cache-")
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(d, f".lvalue-cache-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -67,10 +75,13 @@ def read_lvalue_cache(path: str) -> list[LValueRecord]:
     if not lines or lines[0] != _HEADER:
         raise CacheCorruptError("missing header row")
     out = []
-    for line in lines[1:]:
-        q, a, b, re, im, method, err = line.split(",")
-        out.append(
-            LValueRecord(
+    for row, line in enumerate(lines[1:], start=1):
+        fields = line.split(",")
+        if len(fields) != 7:
+            raise CacheCorruptError(f"row {row} has {len(fields)} fields, not 7")
+        q, a, b, re, im, method, err = fields
+        try:
+            rec = LValueRecord(
                 q=int(q),
                 a=int(a),
                 b=int(b),
@@ -78,7 +89,9 @@ def read_lvalue_cache(path: str) -> list[LValueRecord]:
                 method=method,
                 err_estimate=float(err),
             )
-        )
+        except ValueError as exc:
+            raise CacheCorruptError(f"row {row}: {exc}") from None
+        out.append(rec)
     return out
 
 

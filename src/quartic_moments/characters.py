@@ -60,6 +60,7 @@ __all__ = [
 # i^k at index k = 0..3 and 0 at index 4, so an exponent array with -1
 # marking a zero value indexes it directly: -1 reads the trailing 0.
 _I_POW = np.array([1, 1j, -1, -1j, 0], dtype=np.complex128)
+_QUARTER = np.arange(4, dtype=np.int8)
 
 
 class QuarticCharacter:
@@ -130,22 +131,21 @@ def split_prime_table(p: int) -> tuple[int, np.ndarray]:
     (x/pi)_4 = i^T[x] (T[0] = 0; callers mask x = 0).  Since (g/pi)_4 = s = i,
     T[g^k] = k mod 4.  Over the conjugate prime (i = p - s) the exponent is
     -T[x].  The powers g^k come from baby-step/giant-step products:
-    O(sqrt p) Python steps plus one gather.
+    O(sqrt p) Python steps plus one scatter of the int8 pattern 0, 1, 2, 3
+    repeated (p - 1)/4 times.
     """
     if p % 4 != 1:
         raise ValueError(f"{p} is not a split prime")
     g = primitive_root(p)
     r = math.isqrt(p - 2) + 1  # r^2 >= p - 1
     g_r = pow(g, r, p)
-    baby = np.empty(r, dtype=np.int64)
-    giant = np.empty(r, dtype=np.int64)
-    x = y = 1
-    for k in range(r):
-        baby[k], giant[k] = x, y
-        x, y = x * g % p, y * g_r % p
-    powers = (giant[:, None] * baby[None, :] % p).ravel()[: p - 1]  # g^0 .. g^(p-2)
+    baby, giant = [1], [1]
+    for _ in range(r - 1):
+        baby.append(baby[-1] * g % p)
+        giant.append(giant[-1] * g_r % p)
+    powers = (np.array(giant)[:, None] * np.array(baby) % p).ravel()[: p - 1]  # g^0 .. g^(p-2)
     table = np.zeros(p, dtype=np.int8)
-    table[powers] = np.arange(p - 1) & 3
+    table[powers] = np.tile(_QUARTER, (p - 1) // 4)
     return pow(g, (p - 1) // 4, p), table
 
 

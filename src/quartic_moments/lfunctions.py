@@ -34,10 +34,15 @@ Two independent evaluation routes:
   `_v_quadrature`, which exponentiates (m/A)^{-s_k} directly, is the oracle
   the table route is tested against.  For G = 1, a = 0 the closed form
   V_j(xi) = Gamma(c_j, pi xi^2)/Gamma(c_j), c_j = 1/4 + a_j/2, is used once
-  the test suite has pinned it against the quadrature.  Both m-sums carry
-  certified truncation tails.  With the default split A = B = sqrt(q) and
-  a = 0, the dual sum has the same cutoff, tail, V and coefficients as the
-  first, so they are computed once.
+  the test suite has pinned it against the quadrature.  `_gamma_q`
+  evaluates it in numpy to absolute error 1e-13: the power series of
+  P = 1 - Q below y = 18 and the asymptotic series above, each with a
+  certified remainder and a Horner length fixed per y-bucket, so a value
+  never depends on the rest of its batch.  The closed form is evaluated
+  for blocks of up to 2^14 terms from many conductors of one parity at
+  once.  Both m-sums carry certified truncation tails.  With the default
+  split A = B = sqrt(q) and a = 0, the dual sum has the same cutoff, tail,
+  V and coefficients as the first, so they are computed once.
 
   The characters enter once per conductor too: q is factored once into a
   (characters x omega(q)) sign matrix, T_p[m mod p] is gathered once per
@@ -68,10 +73,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gamma as _cgamma
-from scipy.special import gammaincc, loggamma
+from scipy.special import loggamma
 
 from .characters import (
     _I_POW,
@@ -346,15 +352,102 @@ def _v_spline(j: int, g_choice: str):
     return entry
 
 
+# y-buckets of `_gamma_q`: the power series below _Y0, the asymptotic series
+# from there on; each bucket's term count is certified at its worst edge.
+_Y_EDGES = (0.25, 1.0, 2.25, 4.0, 6.25, 9.0, 12.25, 16.0, 18.0, 20.0, 24.0, 32.0)
+_Y0 = 18.0
+_GAMMA_Q_TRUNC = 2.0**-52  # truncation bound of either series, per value
+
+
+@lru_cache(maxsize=2)
+def _gamma_q_buckets(c: float) -> tuple:
+    """Horner coefficients (highest first) per bucket of `_Y_EDGES` for
+    Q(c, y), c in {1/4, 3/4}, with 1/Gamma(c+1) and 1/Gamma(c).
+
+    Power series, y < hi:  P = y^c e^{-y}/Gamma(c+1) sum_k b_k y^k with
+    b_k = prod_{i<=k} 1/(c+i); its tail after n terms is at most
+    y^c e^{-y}/Gamma(c+1) b_n y^n / (1 - y/(c+n+1)), increasing in y.
+    Asymptotic series, y >= lo:  Q = y^{c-1} e^{-y}/Gamma(c) sum_k d_k y^{-k}
+    with d_k = prod_{i<=k} (c-i); integrating by parts leaves the remainder
+    d_n Gamma(c-n, y) with |Gamma(c-n, y)| <= y^{c-n-1} e^{-y}, decreasing in y.
+    The b_k and d_k are rationals in quarters, rounded once to float.
+    """
+    if c not in (0.25, 0.75):
+        raise ValueError(f"the closed form needs c = 1/4 or 3/4, not {c!r}")
+    four_c = round(4 * c)
+    ln_trunc = math.log(_GAMMA_Q_TRUNC)
+    buckets, lo = [], 0.0
+    for hi in _Y_EDGES + (math.inf,):
+        series = hi <= _Y0
+        if series:
+            n, ln_b = 1, -math.log(c + 1)
+            while not (c + n + 1 > hi and (c + n) * math.log(hi) - hi - math.lgamma(c + 1)
+                       + ln_b - math.log1p(-hi / (c + n + 1)) <= ln_trunc):
+                n += 1
+                ln_b -= math.log(c + n)
+        else:
+            n, ln_d = 1, math.log(1 - c)
+            while (c - 1 - n) * math.log(lo) - lo - math.lgamma(c) + ln_d > ln_trunc:
+                n += 1
+                ln_d += math.log(n - c)
+        num = den = 1
+        coeffs = [1.0]
+        for k in range(1, n):
+            if series:
+                num, den = num * 4, den * (4 * k + four_c)
+            else:
+                num, den = num * (four_c - 4 * k), den * 4
+            coeffs.append(num / den)  # int / int rounds correctly
+        buckets.append((series, np.array(coeffs[::-1])))
+        lo = hi
+    return tuple(buckets), 1 / math.gamma(c + 1), 1 / math.gamma(c)
+
+
+def _gamma_q(c: float, y: np.ndarray) -> np.ndarray:
+    """The regularized Gamma(c, y)/Gamma(c) for c in {1/4, 3/4} and y >= 0,
+    to absolute error 1e-13.
+
+    Each bucket of `_Y_EDGES` has a fixed Horner length, so every value
+    depends on (c, y) alone, never on the other entries of y.  Error: either
+    series' truncation is at most 2^-52.  The power series adds positive
+    terms, so P <= 1 carries relative rounding error below 140 ulp (at most
+    63 terms) and 1 - P absolute error below 2e-14; the asymptotic terms
+    shrink in size (n <= 11 < y), so its rounding error is a few ulp of
+    Q < 1e-8.
+    """
+    buckets, inv_g1, inv_g = _gamma_q_buckets(c)
+    root = np.sqrt(np.sqrt(y))
+    pre = (root if c == 0.25 else root * np.sqrt(y)) * np.exp(-y)  # y^c e^{-y}
+    which = np.searchsorted(_Y_EDGES, y, side="right")
+    out = np.empty_like(y)
+    for k, (series, coeffs) in enumerate(buckets):
+        idx = np.flatnonzero(which == k)
+        if not len(idx):
+            continue
+        t = y[idx] if series else 1 / y[idx]
+        r = np.full(len(idx), coeffs[0])
+        for a in coeffs[1:]:
+            r *= t
+            r += a
+        out[idx] = 1 - pre[idx] * inv_g1 * r if series else pre[idx] * inv_g * t * r
+    return out
+
+
 def v_values(alpha: complex, j: int, xs, config: AFEConfig = DEFAULT_AFE):
-    """Vectorized V_{alpha,j}; returns (values, per_value_error_bound)."""
+    """Vectorized V_{alpha,j}; returns (values, per_value_error_bound).
+
+    At G = 1, alpha = 0 this is the closed form
+    Gamma(c_j, pi x^2)/Gamma(c_j) of `_gamma_q` (error 1e-13); the Gaussian
+    G at alpha = 0 reads a spline on more than 64 points; everything else is
+    the contour quadrature (error 1e-12).
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("V is only defined for x > 0")
     alpha = complex(alpha)
     if alpha == 0 and config.g_choice == "constant_one" and config.use_closed_form:
         c = 0.25 + _a_j(j) / 2
-        return gammaincc(c, math.pi * xs * xs).astype(np.complex128), 1e-13
+        return _gamma_q(c, math.pi * xs * xs).astype(np.complex128), 1e-13
     if alpha == 0 and config.g_choice == "gaussian" and len(xs) > 64:
         spline, err, lo, hi = _v_spline(j, config.g_choice)
         u = np.log(xs)
@@ -484,17 +577,16 @@ def x_factor(alpha: complex, j: int, q: int) -> complex:
 
 
 def _afe_v(alpha: complex, j: int, A: float, M: int, config: AFEConfig):
-    """V_{alpha,j}(m/A) for m = 1..M and its per-value error bound: the
-    closed form or the Gaussian-G spline where `v_values` has one, else the
+    """V_{alpha,j}(m/A) for m = 1..M and its per-value error bound off the
+    closed form: the Gaussian-G spline where `v_values` has one, else the
     shared-table route."""
-    if alpha == 0 and (
-        config.use_closed_form if config.g_choice == "constant_one" else M > 64
-    ):
+    if alpha == 0 and config.g_choice == "gaussian" and M > 64:
         return v_values(alpha, j, np.arange(1, M + 1, dtype=float) / A, config)
     return _v_folded(alpha, j, A, M, config), 1e-12
 
 
 _ROW_BLOCK = 1 << 18  # AFE terms formed at once: 4 MB of complex128
+_V_BLOCK = 1 << 14  # closed-form V terms evaluated at once (peak memory)
 
 
 def _row_sums(values: np.ndarray, E: np.ndarray, coeff: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -504,6 +596,56 @@ def _row_sums(values: np.ndarray, E: np.ndarray, coeff: np.ndarray, V: np.ndarra
     step = max(1, _ROW_BLOCK // E.shape[1])
     return np.concatenate([np.sum(values[E[r : r + step]] * coeff * V, axis=1)
                            for r in range(0, len(E), step)])
+
+
+class _Conductor(NamedTuple):
+    """One conductor of an `lvalues_afe` batch: its characters' positions,
+    their parity, and (scale, cutoff, tail) of each m-sum -- one entry when
+    the dual sum repeats the first (alpha = 0, B = A = sqrt(q))."""
+
+    q: int
+    idx: list[int]
+    j: int
+    sums: tuple[tuple[float, int, float], ...]
+
+
+def _v_blocks(conductors: list[_Conductor]):
+    """Consecutive runs of whole conductors with at most _V_BLOCK V terms
+    between them, or one conductor that alone has more."""
+    block, terms = [], 0
+    for cond in conductors:
+        n = sum(M for _, M, _ in cond.sums)
+        if block and terms + n > _V_BLOCK:
+            yield block
+            block, terms = [], 0
+        block.append(cond)
+        terms += n
+    if block:
+        yield block
+
+
+def _conductor_v(conductors: list[_Conductor], alpha: complex, config: AFEConfig):
+    """Yield (conductor, [(V, per-value error) for each of its m-sums]).
+
+    The closed form (G = 1, alpha = 0) takes one `v_values` call per block
+    of `_v_blocks` of one parity, over the concatenated m/A, and each
+    conductor reads its slices; since `_gamma_q` is elementwise, a slice
+    has the bits of a call on that conductor alone.  Elsewhere each m-sum
+    calls `_afe_v`.
+    """
+    if not (alpha == 0 and config.g_choice == "constant_one" and config.use_closed_form):
+        for cond in conductors:
+            yield cond, [_afe_v(a, cond.j, scale, M, config)
+                         for a, (scale, M, _) in zip((alpha, -alpha), cond.sums)]
+        return
+    for j in (1, -1):
+        for block in _v_blocks([cond for cond in conductors if cond.j == j]):
+            xs = [np.arange(1, M + 1, dtype=float) / scale
+                  for cond in block for scale, M, _ in cond.sums]
+            V, verr = v_values(0j, j, np.concatenate(xs), config)
+            parts = iter(np.split(V, np.cumsum([len(x) for x in xs[:-1]])))
+            for cond in block:
+                yield cond, [(next(parts), verr) for _ in cond.sums]
 
 
 def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
@@ -517,7 +659,9 @@ def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
     split B = A, once for both sums); the sign matrix of
     `conductor_signature` (q factored once) and the int8
     (characters x max(M1, M2)) exponent matrix of `signature_exponents` (one
-    T_p[m mod p] gather per p | q).  Both m-sums are row sums
+    T_p[m mod p] gather per p | q).  The closed-form V goes further and is
+    evaluated for blocks of conductors at once (`_conductor_v`), after
+    every cutoff is known.  Both m-sums are row sums
     np.sum(axis=1) of (i^e * coeff) * V, the elements and order of a lone
     character's sum, so a value has the same bits in any batch and no BLAS
     reduction enters.  S2 = conj(S1) exactly when the dual sum has the same
@@ -531,28 +675,31 @@ def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
     by_q: dict[int, list[int]] = {}
     for i, chi in enumerate(chars):
         by_q.setdefault(chi.q, []).append(i)
-    out: list[LValueRecord | None] = [None] * len(chars)
+    conductors = []
     for q, idx in by_q.items():
-        group = [chars[i] for i in idx]
-        j = group[0].parity()
+        j = chars[idx[0]].parity()
         A = math.sqrt(q) if config.split_a is None else float(config.split_a)
-        M1, tail1 = _afe_cutoff(q, A, 0.5 + alpha.real, alpha, j, config)
-        m1 = np.arange(1, M1 + 1, dtype=float)
-        V1, verr1 = _afe_v(alpha, j, A, M1, config)
-        coeff1 = m1 ** -0.5 if alpha == 0 else np.exp(-(0.5 + alpha) * np.log(m1))
-
-        shared = alpha == 0 and config.split_a is None
-        if shared:
-            # B = A = sqrt(q): the dual sum has the same terms
-            M2, tail2, V2, verr2, coeff2 = M1, tail1, V1, verr1, coeff1
-        else:
+        sums = ((A, *_afe_cutoff(q, A, 0.5 + alpha.real, alpha, j, config)),)
+        if not (alpha == 0 and config.split_a is None):
             B = q / A
-            M2, tail2 = _afe_cutoff(q, B, 0.5 - alpha.real, -alpha, j, config)
+            sums += ((B, *_afe_cutoff(q, B, 0.5 - alpha.real, -alpha, j, config)),)
+        conductors.append(_Conductor(q, idx, j, sums))
+
+    out: list[LValueRecord | None] = [None] * len(chars)
+    for cond, vs in _conductor_v(conductors, alpha, config):
+        shared = len(cond.sums) == 1  # B = A = sqrt(q): the dual sum has the same terms
+        (_, M1, tail1), (_, M2, tail2) = cond.sums[0], cond.sums[-1]
+        (V1, verr1), (V2, verr2) = vs[0], vs[-1]
+        m1 = np.arange(1, M1 + 1, dtype=float)
+        coeff1 = m1 ** -0.5 if alpha == 0 else np.exp(-(0.5 + alpha) * np.log(m1))
+        if shared:
+            coeff2 = coeff1
+        else:
             m2 = np.arange(1, M2 + 1, dtype=float)
-            V2, verr2 = _afe_v(-alpha, j, B, M2, config)
             coeff2 = m2 ** -0.5 if alpha == 0 else np.exp(-(0.5 - alpha) * np.log(m2))
 
-        tables, signs = conductor_signature(q, [chi.n for chi in group])
+        group = [chars[i] for i in cond.idx]
+        tables, signs = conductor_signature(cond.q, [chi.n for chi in group])
         E = signature_exponents(tables, signs, np.arange(1, max(M1, M2) + 1))
         S1 = _row_sums(_I_POW, E[:, :M1], coeff1, V1)
         if shared and not V1.imag.any():
@@ -560,12 +707,12 @@ def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
         else:
             S2 = _row_sums(_I_POW_CONJ, E[:, :M2], coeff2, V2)
 
-        X = x_factor(alpha, j, q)
+        X = x_factor(alpha, cond.j, cond.q)
         err = tail1 + tail2 + 2.0 * (verr1 * math.sqrt(M1) + verr2 * math.sqrt(M2)) + 1e-12
-        for i, chi, row, s1, s2 in zip(idx, group, signs, S1, S2):
+        for i, chi, row, s1, s2 in zip(cond.idx, group, signs, S1, S2):
             signature = [(p, table, sign) for (p, table), sign in zip(tables, row)]
             L = complex(s1) + epsilon_factor(chi, signature=signature) * X * complex(s2)
-            out[i] = LValueRecord(q=q, a=chi.n.a, b=chi.n.b, value=L, method="afe",
+            out[i] = LValueRecord(q=cond.q, a=chi.n.a, b=chi.n.b, value=L, method="afe",
                                   err_estimate=err)
     return out
 
@@ -829,6 +976,7 @@ def clear_lfunction_caches() -> None:
     _contour_nodes.cache_clear()
     _contour_weights.cache_clear()
     _ln_contour_mass.cache_clear()
+    _gamma_q_buckets.cache_clear()
     _V_SPLINE_CACHE.clear()
     _POWER_TABLES.clear()
     constants.cache_clear()

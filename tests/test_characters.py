@@ -18,6 +18,7 @@ from quartic_moments.characters import (
     prime_signature,
     prime_table,
     signature_exponents,
+    split_prime_table,
     verify_correspondence,
 )
 from quartic_moments.gaussint import (
@@ -28,7 +29,7 @@ from quartic_moments.gaussint import (
     primary_associate,
     prime_above,
 )
-from quartic_moments.sieves import factorize_small, primes_upto
+from quartic_moments.sieves import factorize_small, primes_upto, primitive_root
 from quartic_moments.symbols import QuarticValue, _euler_exponent
 
 G = GaussInt
@@ -154,6 +155,23 @@ def _euler_exponent_fp(x: int, pi: GaussInt) -> int:
     i_image = -pi.a * pow(pi.b, -1, p) % p
     r = pow(x, (p - 1) // 4, p)
     return -1 if r == 0 else [1, i_image, p - 1, p - i_image].index(r)
+
+
+def test_split_prime_tables_byte_equal_reference_build():
+    # the baby-step/giant-step build against the definition
+    # T[g^k mod p] = k mod 4 for k = 0..p-2, on seeded split p <= 16000
+    rng = random.Random(9041)
+    split = [int(p) for p in primes_upto(16000) if p % 4 == 1]
+    for p in rng.sample(split, 24) + split[-1:]:
+        g = primitive_root(p)
+        ref = [0] * p
+        x = 1
+        for k in range(p - 1):
+            ref[x] = k & 3
+            x = x * g % p
+        s, T = split_prime_table(p)
+        assert s == pow(g, (p - 1) // 4, p)
+        assert T.dtype == np.int8 and T.tobytes() == bytes(ref), p
 
 
 def test_split_prime_tables_match_euler_criterion():

@@ -189,3 +189,51 @@ def test_lvalue_cache_flag(tmp_path):
     assert out.returncode == 0
     recs = read_lvalue_cache(path)
     assert len(recs) == 1 and recs[0].q == 5
+
+
+def _checksummed(path, rows):
+    import hashlib
+
+    body = "q,a,b,re,im,method,err\n" + "".join(r + "\n" for r in rows)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(f"# sha256={digest}\n{body}")
+
+
+@pytest.mark.parametrize("row", [
+    "5,-1,-2,0.5,0.25,afe",  # six fields
+    "5,-1,-2,0.5,0.25,afe,1e-9,extra",  # eight fields
+    "5,-1,-2,half,0.25,afe,1e-9",  # a value that is no float
+    "5,x,-2,0.5,0.25,afe,1e-9",  # a generator that is no int
+])
+def test_malformed_cache_row_is_corrupt_not_usage(tmp_path, row):
+    path = tmp_path / "lv.csv"
+    _checksummed(path, [row])
+    with pytest.raises(CacheCorruptError):
+        read_lvalue_cache(str(path))
+    out = run_cli(["lvalue", "--q", "5", "--a", "-1", "--b", "-2", "--cache", str(path)])
+    assert out.returncode == 1
+    assert json.loads(out.stderr)["kind"] == "CacheCorruptError"
+
+
+def test_cache_rewrite_keeps_file_mode(tmp_path):
+    import os
+    import stat
+
+    recs = [LValueRecord(5, -1, -2, 0.5 + 0.25j, "afe", 1e-9)]
+    old = os.umask(0o022)
+    try:
+        fresh = tmp_path / "fresh.csv"
+        write_lvalue_cache(str(fresh), recs)
+        assert stat.S_IMODE(os.stat(fresh).st_mode) == 0o644  # as `touch` gives
+        write_lvalue_cache(str(fresh), recs)
+        assert stat.S_IMODE(os.stat(fresh).st_mode) == 0o644
+        os.chmod(fresh, 0o640)
+        write_lvalue_cache(str(fresh), recs)
+        assert stat.S_IMODE(os.stat(fresh).st_mode) == 0o640
+        os.umask(0o077)
+        private = tmp_path / "private.csv"
+        write_lvalue_cache(str(private), recs)
+        assert stat.S_IMODE(os.stat(private).st_mode) == 0o600
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "private.csv"]

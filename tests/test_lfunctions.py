@@ -86,6 +86,62 @@ def test_v_closed_form_vs_quadrature_grid():
         assert np.max(np.abs(closed - quad)) <= 1e-10
 
 
+def test_gamma_q_matches_scipy_and_mpmath():
+    # the closed form's numpy series from x = 1e-6 (y = 3e-12) to x = 50
+    # (y = 7854), densely over the AFE range y <= 30 and at every bucket edge
+    # and its neighbours, within the stated per-value bound
+    import mpmath
+    from scipy.special import gammaincc
+
+    edges = np.array(lfunctions._Y_EDGES)
+    ys = np.concatenate([math.pi * np.logspace(-6, math.log10(50.0), 300) ** 2,
+                         np.linspace(0.01, 30.0, 600),
+                         edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    for j, c in ((1, 0.25), (-1, 0.75)):
+        got = lfunctions._gamma_q(c, ys)
+        ones = np.concatenate([lfunctions._gamma_q(c, ys[i : i + 1]) for i in range(len(ys))])
+        assert ones.tobytes() == got.tobytes()  # a batch of one has its row's bits
+        assert np.max(np.abs(got - gammaincc(c, ys))) <= 1e-13
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.gammainc(c, float(y), regularized=True)) for y in ys])
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        vals, err = v_values(0, j, np.sqrt(ys / math.pi))
+        assert err == 1e-13 and np.max(np.abs(vals - ref)) <= err
+
+
+def test_closed_form_block_slices_match_lone_calls(monkeypatch):
+    # 1105 and 65 (j = 1), 1885 and 13 (j = -1), 65 with both sums (A = 5,
+    # B = 13): each conductor's V slice of a block has the bits of v_values
+    # on that conductor alone, whether a block holds every conductor of its
+    # parity (one call per parity) or, at 125 terms, 1105 and 65 (85 + 45
+    # terms) fall in two blocks and 1885 and 13 (111 + 9) share one
+    cfg = AFEConfig()
+    conds = []
+    for q, A in ((1105, None), (65, 5.0), (1885, None), (13, None)):
+        j = _conductor(q)[0].parity()
+        scales = (math.sqrt(q),) if A is None else (A, q / A)
+        sums = tuple((s, *lfunctions._afe_cutoff(q, s, 0.5, 0j, j, cfg)) for s in scales)
+        conds.append(lfunctions._Conductor(q, [], j, sums))
+    calls = []
+    real_v = lfunctions.v_values
+
+    def counting_v(*args, **kwargs):
+        calls.append(args)
+        return real_v(*args, **kwargs)
+
+    monkeypatch.setattr(lfunctions, "v_values", counting_v)
+    for block, n_calls in ((lfunctions._V_BLOCK, 2), (125, 3)):
+        monkeypatch.setattr(lfunctions, "_V_BLOCK", block)
+        calls.clear()
+        got = {cond.q: vs for cond, vs in lfunctions._conductor_v(conds, 0j, cfg)}
+        assert len(calls) == n_calls and len(got) == len(conds)
+        for cond in conds:
+            assert len(got[cond.q]) == len(cond.sums)
+            for (scale, M, _), (V, err) in zip(cond.sums, got[cond.q]):
+                alone, err_alone = real_v(0j, cond.j, np.arange(1, M + 1, dtype=float) / scale)
+                assert V.tobytes() == alone.tobytes() and err == err_alone
+
+
 def test_v_gaussian_spline_matches_quadrature():
     cfg = AFEConfig(g_choice="gaussian")
     xs = np.exp(np.linspace(-10, 8, 300))  # > 64lim triggers the spline
@@ -189,6 +245,7 @@ def test_first_moment_workers_byte_identical():
 def test_dual_sum_reused_at_center(monkeypatch):
     # default split at alpha = 0: one V evaluation per conductor, and the
     # value agrees with the explicit split A = sqrt(q), which sums both sides
+    # (both sums' V in one closed-form block, so one call per character)
     chars = [c for c in characters_upto(1105) if c.q == 1105]
     calls = []
     real_v = lfunctions.v_values
@@ -203,7 +260,7 @@ def test_dual_sum_reused_at_center(monkeypatch):
     for chi, rec in zip(chars, recs):
         alt = lvalue_afe(chi, 0j, AFEConfig(split_a=math.sqrt(chi.q)))
         assert abs(rec.value - alt.value) <= rec.err_estimate
-    assert len(calls) == 1 + 2 * len(chars)
+    assert len(calls) == 1 + len(chars)
 
 
 # ----------------------------------------------------------------------
