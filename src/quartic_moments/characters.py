@@ -234,6 +234,7 @@ def clear_character_caches() -> None:
     split_prime_table.cache_clear()
     _generators_by_conductor.cache_clear()
     _lattice_generators.cache_clear()
+    _primary_points_arrays.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -241,16 +242,9 @@ def clear_character_caches() -> None:
 # ----------------------------------------------------------------------
 
 
-def _is_valid_conductor(q: int) -> bool:
-    if q <= 1:
-        return False
-    fac = factorize_small(q)
-    return all(e == 1 and p % 4 == 1 for p, e in fac.items())
-
-
 @lru_cache(maxsize=256)
 def _generators_by_conductor(q: int) -> tuple[GaussInt, ...]:
-    if not _is_valid_conductor(q):
+    if not valid_conductor_mask(q)[q]:
         return ()
     primes = sorted(factorize_small(q))
     pairs = []
@@ -280,25 +274,29 @@ def enumerate_generators(q: int) -> list[GaussInt]:
     return list(_generators_by_conductor(q))
 
 
+@lru_cache(maxsize=8)
+def _primary_points_arrays(limit: int):
+    """Every primary n with 1 <= N(n) <= limit as arrays (norm, a, b),
+    sorted by (norm, a, b)."""
+    r = math.isqrt(limit)
+    a = np.arange(-r - 1, r + 2)
+    A, B = np.meshgrid(a, a, indexing="ij")
+    ra, rb = A & 3, B & 3
+    primary = ((ra == 1) & (rb == 0)) | ((ra == 3) & (rb == 2))
+    N = A * A + B * B
+    keep = primary & (N <= limit) & (N >= 1)
+    qs, As, Bs = N[keep], A[keep], B[keep]
+    order = np.lexsort((Bs, As, qs))
+    return qs[order], As[order], Bs[order]
+
+
 @lru_cache(maxsize=16)
 def _lattice_generators(Q: int) -> tuple[tuple[int, int, int], ...]:
     """Primary lattice points with valid conductor norm <= Q, as (q, a, b),
     sorted by (q, a, b).  Sieve-then-filter, no per-q search."""
-    r = math.isqrt(Q)
-    a = np.arange(-r - 1, r + 2)
-    b = np.arange(-r - 1, r + 2)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    ra, rb = A & 3, B & 3
-    primary = ((ra == 1) & (rb == 0)) | ((ra == 3) & (rb == 2))
-    N = A * A + B * B
-    keep = primary & (N <= Q) & (N > 1)
-    qs, As, Bs = N[keep], A[keep], B[keep]
+    qs, As, Bs = _primary_points_arrays(Q)
     valid = valid_conductor_mask(Q)[qs]
-    qs, As, Bs = qs[valid], As[valid], Bs[valid]
-    order = np.lexsort((Bs, As, qs))
-    return tuple(
-        (int(qs[i]), int(As[i]), int(Bs[i])) for i in order
-    )
+    return tuple(zip(qs[valid].tolist(), As[valid].tolist(), Bs[valid].tolist()))
 
 
 def enumerate_range(Q: int) -> Iterator[QuarticCharacter]:

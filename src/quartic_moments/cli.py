@@ -103,7 +103,10 @@ def _cmd_lvalue(args) -> int:
     chi = QuarticCharacter.from_generator(n)
     if chi.q != args.q:
         raise ValueError(f"generator {n} has norm {chi.q}, not {args.q}")
-    alpha = complex(*(float(t) for t in args.alpha.split(","))) if args.alpha else 0j
+    parts = (args.alpha or "0").split(",")
+    if len(parts) > 2:
+        raise ValueError(f"--alpha takes re or re,im, not {args.alpha!r}")
+    alpha = complex(*(float(t) for t in parts))
     if args.method == "direct":
         rec = lvalue_direct(chi, 0.5 + alpha)
     else:

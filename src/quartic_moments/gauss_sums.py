@@ -45,6 +45,7 @@ import numpy as np
 from .characters import (
     _I_POW,
     QuarticCharacter,
+    _primary_points_arrays,
     character_exponents,
     prime_signature,
     prime_table,
@@ -90,7 +91,6 @@ def clear_gauss_caches() -> None:
     _GAUSS_SUM_PRIME_CACHE.clear()
     _TAU_PRIME_CACHE.clear()
     _inert_table.cache_clear()
-    _primary_points_arrays.cache_clear()
 
 
 def additive_char(num: GaussInt, den: GaussInt) -> complex:
@@ -380,20 +380,6 @@ def tau_crt(chi: QuarticCharacter, signature=None) -> complex:
 # ----------------------------------------------------------------------
 # primary lattice enumeration and averaged sums
 # ----------------------------------------------------------------------
-
-
-@lru_cache(maxsize=8)
-def _primary_points_arrays(limit: int):
-    r = math.isqrt(limit)
-    a = np.arange(-r - 1, r + 2)
-    A, B = np.meshgrid(a, a, indexing="ij")
-    ra, rb = A & 3, B & 3
-    primary = ((ra == 1) & (rb == 0)) | ((ra == 3) & (rb == 2))
-    N = A * A + B * B
-    keep = primary & (N <= limit) & (N >= 1)
-    qs, As, Bs = N[keep], A[keep], B[keep]
-    order = np.lexsort((Bs, As, qs))
-    return qs[order], As[order], Bs[order]
 
 
 def primary_points(limit: int) -> list[tuple[int, int, int]]:

@@ -32,10 +32,11 @@ Two independent evaluation routes:
   M ~ 1e5-1e6) stream the rows past it in 512-row blocks.  A conductor thus
   costs one exponential per node for A^{s_k} plus a mat-vec on row slices.
   `_v_quadrature`, which exponentiates (m/A)^{-s_k} directly, is the oracle
-  the table route is tested against.  For G = 1, a = 0 the closed form
-  V_j(xi) = Gamma(c_j, pi xi^2)/Gamma(c_j), c_j = 1/4 + a_j/2, is used once
-  the test suite has pinned it against the quadrature.  `_gamma_q`
-  evaluates it in numpy to absolute error 1e-13: the power series of
+  the table route is tested against.  The table serves a != 0; at a = 0
+  V comes from `v_values`, by one route per G: for G = 1 the closed form
+  V_j(xi) = Gamma(c_j, pi xi^2)/Gamma(c_j), c_j = 1/4 + a_j/2, and for the
+  Gaussian G a spline of the quadrature.  `_gamma_q` evaluates the closed
+  form in numpy to absolute error 1e-13: the power series of
   P = 1 - Q below y = 18 and the asymptotic series above, each with a
   certified remainder and a Horner length fixed per y-bucket, so a value
   never depends on the rest of its batch.  The closed form is evaluated
@@ -82,11 +83,12 @@ from scipy.special import loggamma
 from .characters import (
     _I_POW,
     QuarticCharacter,
+    _primary_points_arrays,
     character_exponents,
     conductor_signature,
     signature_exponents,
 )
-from .gauss_sums import dirichlet_gauss_sum, tau_closed_form, tau_crt
+from .gauss_sums import dirichlet_gauss_sum, tau_crt
 from .sieves import primes_upto
 from .symbols import quartic_exponent_fast
 
@@ -131,17 +133,17 @@ class AFEConfig:
     g_choice: 'constant_one' (G = 1) or 'gaussian' (G = e^{s^2}).
     split_a:  the A in A*B = q; None means A = sqrt(q).
     truncation_eps: certified bound for each of the two m-sum tails, in (0, 1).
-    use_closed_form: allow the incomplete-gamma form of V at G = 1, a = 0.
     term_budget: the most terms either m-sum may take.
 
-    The contour quadrature's trapezoid step and cut are the fixed _T_STEP
-    and _T_MAX; `key` keeps them in its 6-tuple, so reports name them.
+    The route to V follows from (G, alpha) alone (see `v_values`).  The
+    contour quadrature's trapezoid step and cut are the fixed _T_STEP and
+    _T_MAX; `key` keeps them in its 6-tuple, so reports name them, and its
+    sixth entry stays True: V at G = 1, alpha = 0 is always the closed form.
     """
 
     g_choice: str = "constant_one"
     split_a: float | None = None
     truncation_eps: float = 1e-9
-    use_closed_form: bool = True
     term_budget: int = 2_000_000
 
     def __post_init__(self):
@@ -161,7 +163,7 @@ class AFEConfig:
             self.truncation_eps,
             _T_STEP,
             _T_MAX,
-            self.use_closed_form,
+            True,
         )
 
 
@@ -436,24 +438,30 @@ def _gamma_q(c: float, y: np.ndarray) -> np.ndarray:
 def v_values(alpha: complex, j: int, xs, config: AFEConfig = DEFAULT_AFE):
     """Vectorized V_{alpha,j}; returns (values, per_value_error_bound).
 
-    At G = 1, alpha = 0 this is the closed form
-    Gamma(c_j, pi x^2)/Gamma(c_j) of `_gamma_q` (error 1e-13); the Gaussian
-    G at alpha = 0 reads a spline on more than 64 points; everything else is
-    the contour quadrature (error 1e-12).
+    The route follows from (G, alpha) alone, and each value from its own x:
+    at G = 1, alpha = 0 the closed form Gamma(c_j, pi x^2)/Gamma(c_j) of
+    `_gamma_q` (error 1e-13); at the Gaussian G, alpha = 0 the spline of
+    `_v_spline`, with the contour quadrature for any x off its range;
+    everywhere else the contour quadrature (error 1e-12).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("V is only defined for x > 0")
     alpha = complex(alpha)
-    if alpha == 0 and config.g_choice == "constant_one" and config.use_closed_form:
+    if alpha != 0:
+        return _v_quadrature(alpha, j, xs, config.g_choice), 1e-12
+    if config.g_choice == "constant_one":
         c = 0.25 + _a_j(j) / 2
         return _gamma_q(c, math.pi * xs * xs).astype(np.complex128), 1e-13
-    if alpha == 0 and config.g_choice == "gaussian" and len(xs) > 64:
-        spline, err, lo, hi = _v_spline(j, config.g_choice)
-        u = np.log(xs)
-        if u.min() >= lo and u.max() <= hi:
-            return spline(u).astype(np.complex128), max(err, 1e-13)
-    return _v_quadrature(alpha, j, xs, config.g_choice), 1e-12
+    spline, err, lo, hi = _v_spline(j, config.g_choice)
+    u = np.log(xs)
+    inside = (u >= lo) & (u <= hi)
+    out = np.empty(len(xs), dtype=np.complex128)
+    out[inside] = spline(u[inside])
+    if inside.all():
+        return out, max(err, 1e-13)
+    out[~inside] = _v_quadrature(0j, j, xs[~inside], config.g_choice)
+    return out, max(err, 1e-12)
 
 
 def v_function(alpha: complex, j: int, x: float, config: AFEConfig = DEFAULT_AFE) -> complex:
@@ -549,14 +557,11 @@ def epsilon_factor(chi: QuarticCharacter, route: str = "crt", signature=None) ->
     """eps(chi) = i^{-a_{chi(-1)}} q^{-1/2} tau(chi).
 
     tau(chi) comes from `tau_crt` (route 'crt', the L-value path, reading
-    chi's prime `signature` when one is given), from the Z[i] Gauss sum by
-    `tau_closed_form` ('closed_form') or from the defining sum
-    `dirichlet_gauss_sum` ('direct').
+    chi's prime `signature` when one is given) or from the defining sum
+    `dirichlet_gauss_sum` ('direct', the oracle).
     """
     if route == "crt":
         tau = tau_crt(chi, signature)
-    elif route == "closed_form":
-        tau = tau_closed_form(chi.n)
     elif route == "direct":
         tau = dirichlet_gauss_sum(chi)
     else:
@@ -574,15 +579,6 @@ def x_factor(alpha: complex, j: int, q: int) -> complex:
     aj = _a_j(j)
     ratio = _cgamma((0.5 + aj - alpha) / 2) / _cgamma((0.5 + aj + alpha) / 2)
     return complex(np.exp(-alpha * math.log(q / math.pi)) * ratio)
-
-
-def _afe_v(alpha: complex, j: int, A: float, M: int, config: AFEConfig):
-    """V_{alpha,j}(m/A) for m = 1..M and its per-value error bound off the
-    closed form: the Gaussian-G spline where `v_values` has one, else the
-    shared-table route."""
-    if alpha == 0 and config.g_choice == "gaussian" and M > 64:
-        return v_values(alpha, j, np.arange(1, M + 1, dtype=float) / A, config)
-    return _v_folded(alpha, j, A, M, config), 1e-12
 
 
 _ROW_BLOCK = 1 << 18  # AFE terms formed at once: 4 MB of complex128
@@ -627,16 +623,21 @@ def _v_blocks(conductors: list[_Conductor]):
 def _conductor_v(conductors: list[_Conductor], alpha: complex, config: AFEConfig):
     """Yield (conductor, [(V, per-value error) for each of its m-sums]).
 
-    The closed form (G = 1, alpha = 0) takes one `v_values` call per block
-    of `_v_blocks` of one parity, over the concatenated m/A, and each
-    conductor reads its slices; since `_gamma_q` is elementwise, a slice
-    has the bits of a call on that conductor alone.  Elsewhere each m-sum
-    calls `_afe_v`.
+    At alpha = 0, V is `v_values` at m/A: the closed form (G = 1) takes one
+    call per block of `_v_blocks` of one parity, over the concatenated m/A,
+    and each conductor reads its slices; since `_gamma_q` is elementwise, a
+    slice has the bits of a call on that conductor alone.  The Gaussian G
+    takes one call per m-sum.  At alpha != 0 each m-sum reads `_v_folded`.
     """
-    if not (alpha == 0 and config.g_choice == "constant_one" and config.use_closed_form):
+    if alpha != 0:
         for cond in conductors:
-            yield cond, [_afe_v(a, cond.j, scale, M, config)
+            yield cond, [(_v_folded(a, cond.j, scale, M, config), 1e-12)
                          for a, (scale, M, _) in zip((alpha, -alpha), cond.sums)]
+        return
+    if config.g_choice == "gaussian":
+        for cond in conductors:
+            yield cond, [v_values(0j, cond.j, np.arange(1, M + 1, dtype=float) / scale, config)
+                         for scale, M, _ in cond.sums]
         return
     for j in (1, -1):
         for block in _v_blocks([cond for cond in conductors if cond.j == j]):
@@ -807,7 +808,7 @@ class HeckeSeriesValue:
 
 def hecke_l_series(m: int, s: complex, cutoff: int = 100_000) -> HeckeSeriesValue:
     """Truncated L(s, psi_m) = sum_{n primary} (m/n)_4 N(n)^{-s}, Re(s) > 1.1."""
-    from .gauss_sums import _primary_points_arrays, primary_count_bound_constant
+    from .gauss_sums import primary_count_bound_constant
 
     s = complex(s)
     if s.real < 1.1:

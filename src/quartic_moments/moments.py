@@ -197,7 +197,7 @@ def first_moment(
         for rec, t in zip(recs, terms):
             rows.setdefault(rec.q, []).append(t)
         per_q = tuple(
-            (q, _fsum_complex(ts).real, _fsum_complex(ts).imag, len(ts))
+            (q, (total := _fsum_complex(ts)).real, total.imag, len(ts))
             for q, ts in sorted(rows.items())
         )
     pred = constants().c * Q * w.mellin_at_1
@@ -246,8 +246,8 @@ def nonvanishing_count(
     """Count enumerated chi with conductor <= Q and |L(1/2, chi)| > threshold."""
     if Q < 10:
         raise ValueError("Q must be at least 10")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be positive, not {threshold!r}")
     chars = characters_upto(Q)
     recs = central_values(chars, 0j, config, workers)
     count = sum(1 for r in recs if abs(r.value) > threshold)
@@ -453,6 +453,8 @@ def sieve_ratio_quadratic(M: int, N: int, trials: int = 20, rng_seed: int = 1,
     one cached matrix; a limit below max(M, N) would drop terms."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if M < 1 or N < 1:
+        raise ValueError(f"M and N must be at least 1, not {M!r} and {N!r}")
     limit = max(M, N) if matrix_limit is None else matrix_limit
     if limit < max(M, N):
         raise ValueError(f"matrix_limit {limit} is below max(M, N) = {max(M, N)}")

@@ -114,11 +114,6 @@ class QuarticValue:
             return 0j
         return (1 + 0j, 1j, -1 + 0j, -1j)[self.k]
 
-    def to_gauss(self) -> GaussInt:
-        if self.k is None:
-            return GaussInt(0, 0)
-        return _UNIT_GAUSS[self.k]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QuarticValue) and self.k == other.k
 

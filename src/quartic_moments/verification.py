@@ -3,6 +3,7 @@ the CLI `verify` subcommand and the acceptance tests."""
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from .gauss_sums import (
 from .gaussint import GaussInt, factor, gcd
 from .lfunctions import (
     AFEConfig,
+    _v_quadrature,
     constants,
     dirichlet_beta_2,
     epsilon_factor,
@@ -176,7 +178,7 @@ def suite_special_functions() -> tuple[bool, dict]:
     worst_v = 0.0
     for j in (1, -1):
         closed, _ = v_values(0j, j, grid, AFEConfig())
-        quad, _ = v_values(0j, j, grid, AFEConfig(use_closed_form=False))
+        quad = _v_quadrature(0j, j, grid, "constant_one")
         worst_v = max(worst_v, float(np.max(np.abs(closed - quad))))
     detail["v_worst_diff"] = worst_v
     ok &= worst_v <= 1e-10
@@ -232,4 +234,8 @@ SUITES = {
 def run_suite(name: str, **kwargs) -> tuple[bool, dict]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    accepted = inspect.signature(SUITES[name]).parameters
+    unknown = sorted(set(kwargs) - set(accepted))
+    if unknown:
+        raise ValueError(f"suite {name!r} takes no {unknown}; it accepts {sorted(accepted)}")
     return SUITES[name](**kwargs)

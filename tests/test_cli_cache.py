@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -68,13 +70,40 @@ def test_lvalue_json_and_methods():
     # invalid AFE settings are usage errors, not replaced by the defaults
     for flag in (["--truncation-eps", "0"], ["--split-a", "0"]):
         assert dispatch(["lvalue", "--q", "5", "--a", "-1", "--b", "-2", *flag]) == 2
+    # --alpha is re or re,im: a third part is a usage error with a JSON message
+    bad = run_cli(["lvalue", "--q", "5", "--a", "-1", "--b", "-2", "--alpha", "1,2,3"])
+    assert bad.returncode == 2 and json.loads(bad.stderr)["kind"] == "ValueError"
+    shifted = ["lvalue", "--q", "5", "--a", "-1", "--b", "-2", "--method", "direct"]
+    assert dispatch([*shifted, "--alpha", "0.1"]) == dispatch([*shifted, "--alpha", "0.1,2"]) == 0
 
 
-def test_verify_subcommand_exit_codes():
+def test_verify_subcommand_exit_codes(capsys):
     out = run_cli(["verify", "--suite", "reciprocity", "--max-norm", "60"])
     assert out.returncode == 0
     payload = json.loads(out.stdout)
     assert payload["ok"] is True and payload["failures"] == 0
+    # a size flag the suite does not take is a usage error naming what it takes
+    for suite, flag in (("afe", "--max-norm"), ("reciprocity", "--max-q"),
+                        ("special-functions", "--max-q")):
+        capsys.readouterr()
+        assert dispatch(["verify", "--suite", suite, flag, "5"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "ValueError" and suite in err["error"]
+
+
+def test_scripts_print_json_lines():
+    # each experiment script at a small size: exit 0, one JSON object a line
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    for script, args in (("run_first_moment.py", ["--grid", "100,200"]),
+                         ("run_second_moment.py", ["--Q", "100", "--t", "5"]),
+                         ("run_sieve_grid.py", ["--grid", "32", "--trials", "2"])):
+        out = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, (script, out.stderr)
+        lines = out.stdout.splitlines()
+        assert lines and all(isinstance(json.loads(line), dict) for line in lines), script
 
 
 def test_certification_failure_exits_1():

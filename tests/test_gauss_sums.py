@@ -252,7 +252,8 @@ def test_gauss_average_support_and_l_zero():
 
 def test_primary_count_bound_constant():
     # the tail bounds rely on #{primary : N <= t} <= 0.5 t for t >= 100
-    from quartic_moments.gauss_sums import _primary_points_arrays, primary_count_bound_constant
+    from quartic_moments.characters import _primary_points_arrays
+    from quartic_moments.gauss_sums import primary_count_bound_constant
 
     qs, _, _ = _primary_points_arrays(10**6)
     counts = np.arange(1, len(qs) + 1)

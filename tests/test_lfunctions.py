@@ -74,15 +74,15 @@ def test_x_factor():
 def test_v_examples():
     assert abs(v_function(0, 1, 0.001) - 1) < 0.05
     assert abs(v_function(0, 1, 50.0)) <= 1e-15
-    q = AFEConfig(use_closed_form=False)
-    assert abs(v_function(0, 1, 1.0, q) - v_function(0, 1, 1.0)) < 1e-10
+    quad = lfunctions._v_quadrature(0j, 1, np.array([1.0]), "constant_one")
+    assert abs(quad[0] - v_function(0, 1, 1.0)) < 1e-10
 
 
 def test_v_closed_form_vs_quadrature_grid():
     grid = np.logspace(-6, math.log10(50.0), 50)
     for j in (1, -1):
         closed, _ = v_values(0, j, grid, AFEConfig())
-        quad, _ = v_values(0, j, grid, AFEConfig(use_closed_form=False))
+        quad = lfunctions._v_quadrature(0j, j, grid, "constant_one")
         assert np.max(np.abs(closed - quad)) <= 1e-10
 
 
@@ -144,10 +144,28 @@ def test_closed_form_block_slices_match_lone_calls(monkeypatch):
 
 def test_v_gaussian_spline_matches_quadrature():
     cfg = AFEConfig(g_choice="gaussian")
-    xs = np.exp(np.linspace(-10, 8, 300))  # > 64lim triggers the spline
+    xs = np.exp(np.linspace(-10, 8, 300))
     sp, err = v_values(0, 1, xs, cfg)
-    direct, _ = v_values(0, 1, xs[::7], AFEConfig(g_choice="gaussian", use_closed_form=False))
+    direct = lfunctions._v_quadrature(0j, 1, xs[::7], "gaussian")
     assert np.max(np.abs(sp[::7] - direct)) < max(5 * err, 1e-9)
+
+
+def test_v_gaussian_value_depends_on_x_alone():
+    # at the Gaussian G and alpha = 0 every in-range x reads the spline, so
+    # a value has the same bits in a batch of any length; x off the spline's
+    # range take the quadrature without moving the other entries
+    cfg = AFEConfig(g_choice="gaussian")
+    for j in (1, -1):
+        for n in (1, 64, 65, 300):
+            xs = np.exp(np.linspace(-10, 8, n))
+            vals, err = v_values(0, j, xs, cfg)
+            alone = np.array([v_function(0, j, x, cfg) for x in xs])
+            assert vals.tobytes() == alone.tobytes() and err < 1e-12
+        off = np.array([1e-8, 2e6])
+        mixed, err = v_values(0, j, np.concatenate([xs[:150], off, xs[150:]]), cfg)
+        assert np.concatenate([mixed[:150], mixed[152:]]).tobytes() == alone.tobytes()
+        quad = lfunctions._v_quadrature(0j, j, off, "gaussian")
+        assert np.max(np.abs(mixed[150:152] - quad)) <= 1e-12 and err == 1e-12
 
 
 def _folded_vs_oracle(alpha, j, A, M, cfg):
@@ -211,6 +229,8 @@ def test_epsilon_factor():
     assert chi17.parity() == 1
     tau = dirichlet_gauss_sum(chi17)
     assert abs(epsilon_factor(chi17, route="direct") - tau / math.sqrt(17)) < 1e-12
+    with pytest.raises(ValueError):
+        epsilon_factor(chi17, route="closed_form")  # tau_closed_form is an oracle only
 
 
 def test_lvalue_path_runs_no_gaussian_factorization(monkeypatch):
@@ -226,7 +246,7 @@ def test_lvalue_path_runs_no_gaussian_factorization(monkeypatch):
         raise AssertionError("Z[i] factorization or Gaussian-prime sum on the L-value path")
 
     for module, name in ((gauss_sums, "factor"), (characters, "factor"),
-                         (gauss_sums, "gauss_sum_twisted"), (lfunctions, "tau_closed_form")):
+                         (gauss_sums, "gauss_sum_twisted")):
         monkeypatch.setattr(module, name, forbidden)
     assert first_moment(300).to_dict() == expected
     assert gauss_sums._TAU_PRIME_CACHE
@@ -308,11 +328,18 @@ def test_kernel_rejects_invalid_characters():
         lvalues_afe([QuarticCharacter(G(3, 4), 25)])  # 5^2: not squarefree
 
 
-def test_kernel_contour_v_at_center_matches_closed_form():
+def test_kernel_contour_v_at_center_matches_closed_form(monkeypatch):
     # the contour table's V is complex, so the dual sum is summed explicitly
     chars = _conductor(1105) + _conductor(13) + _conductor(997)
     closed = lvalues_afe(chars)
-    contour = lvalues_afe(chars, 0j, AFEConfig(use_closed_form=False))
+
+    def folded_v(conductors, alpha, config):
+        for cond in conductors:
+            yield cond, [(lfunctions._v_folded(alpha, cond.j, scale, M, config), 1e-12)
+                         for scale, M, _ in cond.sums]
+
+    monkeypatch.setattr(lfunctions, "_conductor_v", folded_v)
+    contour = lvalues_afe(chars)
     for chi, a, b in zip(chars, closed, contour):
         assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate, chi
 
@@ -376,8 +403,13 @@ def test_afe_rejects_bad_alpha_and_budget():
 
 
 def test_afe_config_key_names_the_contour_constants():
-    # reports print this tuple; the quadrature's step and cut keep their places
+    # reports print this tuple; the quadrature's step and cut keep their
+    # places, and the sixth entry stays True so that report bytes hold
+    import dataclasses
+
     assert AFEConfig().key() == ("constant_one", None, 1e-9, 0.04, 60.0, True)
+    assert [f.name for f in dataclasses.fields(AFEConfig)] == [
+        "g_choice", "split_a", "truncation_eps", "term_budget"]
 
 
 def test_afe_at_shifted_alpha():

@@ -134,6 +134,16 @@ def test_nonvanishing_counts():
         nonvanishing_count(500, threshold=0.0)
 
 
+def test_inputs_with_empty_results_are_rejected():
+    # a NaN threshold counts no character and M or N below 1 leaves an empty
+    # sum, so neither would give a report worth printing
+    with pytest.raises(ValueError, match="threshold"):
+        nonvanishing_count(100, threshold=float("nan"))
+    for M, N in ((0, 64), (64, 0), (-3, 64)):
+        with pytest.raises(ValueError, match="at least 1"):
+            sieve_ratio_quadratic(M, N, trials=2)
+
+
 def test_second_moment_report():
     rep = second_moment(800, grid=(100, 200, 400, 800))
     assert rep.total > 0
