@@ -4,11 +4,11 @@ Two independent evaluation routes:
 
 * `lvalues_afe` (and `lvalue_afe`, its batch of one) -- the approximate
   functional equation, evaluated per conductor.  For a primitive chi
-  mod q, any G even, holomorphic, bounded on |Re s| < 4 with G(0) = 1, and
-  any split A*B = q,
+  mod q, any G even, holomorphic, bounded on |Re s| < 4, real on the real
+  axis, with G(0) = 1, and any split A*B = q,
 
-      L(1/2+a, chi) = sum_m chi(m) m^{-1/2-a} V_{a,j}(m/A)
-                      + eps(chi) X_{a,j} sum_m conj(chi)(m) m^{-1/2+a} V_{-a,j}(m/B),
+      L(1/2+a, chi) = S(a, A) + eps(chi) X_{a,j} conj(S(-conj(a), B)),
+      S(b, A) = sum_m chi(m) m^{-1/2-b} V_{b,j}(m/A),
 
   with j = chi(-1),
 
@@ -16,6 +16,11 @@ Two independent evaluation routes:
       gamma_{a,j}(s) = pi^{-s/2} Gamma((1/2+a_j+a+s)/2) / Gamma((1/2+a_j+a)/2),
       a_j = (1-j)/2,    eps(chi) = i^{-a_j} q^{-1/2} tau(chi),
       X_{a,j} = (q/pi)^{-a} Gamma((1/2+a_j-a)/2) / Gamma((1/2+a_j+a)/2).
+
+  As G is real on the real axis, conj(V_{b,j}(x)) = V_{conj(b),j}(x), so
+  the dual sum sum_m conj(chi)(m) m^{-1/2+a} V_{-a,j}(m/B) is
+  conj(S(-conj(a), B)): every m-sum is of one kind, and when Re a = 0 and
+  A = B = sqrt(q) the two are one sum, computed once.
 
   V is a trapezoidal sum over nodes s_k on a vertical line Re(s) = c
   (shifted left of 0, plus the residue 1, when x < 1, so small x never
@@ -41,15 +46,16 @@ Two independent evaluation routes:
   certified remainder and a Horner length fixed per y-bucket, so a value
   never depends on the rest of its batch.  The closed form is evaluated
   for blocks of up to 2^14 terms from many conductors of one parity at
-  once.  Both m-sums carry certified truncation tails.  With the default
-  split A = B = sqrt(q) and a = 0, the dual sum has the same cutoff, tail,
-  V and coefficients as the first, so they are computed once.
+  once.  Each m-sum carries a certified truncation tail.  The quadrature
+  weights carry 1/Gamma((1/2+a_j+a)/2) ~ e^{pi |Im a|/4}, so its rounding
+  grows like that (against mpmath 4.8e-13 at |Im a| = 7, 9.3e-13 at 8) and
+  its 1e-12 bound holds for |Im a| <= 7 only; larger shifts are rejected
+  (`lvalue_direct` serves any t).
 
   The characters enter once per conductor too: q is factored once into a
   (characters x omega(q)) sign matrix, T_p[m mod p] is gathered once per
   p | q, and the character values of the whole conductor form one
-  (characters x M) matrix whose row sums are the m-sums.  When V is real
-  and the dual sum has the same terms, S2 = conj(S1) exactly.
+  (characters x M) matrix whose row sums are the m-sums.
 
   The root number eps(chi) takes tau(chi) from `gauss_sums.tau_crt` (one
   cached Dirichlet Gauss sum per split p | q, combined by CRT, with the
@@ -117,9 +123,9 @@ __all__ = [
     "clear_lfunction_caches",
 ]
 
-_I_POW_CONJ = _I_POW[[0, 3, 2, 1, 4]]  # conj(i^k) = i^{-k}, read at exponent k
 _T_STEP = 0.04  # trapezoid step of the contour quadrature
 _T_MAX = 60.0  # the contour runs over |Im s| <= _T_MAX
+_IM_ALPHA_MAX = 7.0  # the quadrature's V keeps its 1e-12 bound for |Im alpha| <= this
 
 
 class TruncationError(RuntimeError):
@@ -442,13 +448,16 @@ def v_values(alpha: complex, j: int, xs, config: AFEConfig = DEFAULT_AFE):
     at G = 1, alpha = 0 the closed form Gamma(c_j, pi x^2)/Gamma(c_j) of
     `_gamma_q` (error 1e-13); at the Gaussian G, alpha = 0 the spline of
     `_v_spline`, with the contour quadrature for any x off its range;
-    everywhere else the contour quadrature (error 1e-12).
+    everywhere else the contour quadrature (error 1e-12, |Im alpha| <= 7).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("V is only defined for x > 0")
     alpha = complex(alpha)
     if alpha != 0:
+        if not (abs(alpha.real) < math.inf and abs(alpha.imag) <= _IM_ALPHA_MAX):
+            raise ValueError(f"alpha = {alpha}: V needs a finite alpha with |Im(alpha)| <= "
+                             f"{_IM_ALPHA_MAX:g}")
         return _v_quadrature(alpha, j, xs, config.g_choice), 1e-12
     if config.g_choice == "constant_one":
         c = 0.25 + _a_j(j) / 2
@@ -533,13 +542,14 @@ def _cutoff_contour(A: float, sigma: float, alpha: complex, j: int,
     return best_M, best
 
 
-def _afe_cutoff(q: int, A: float, sigma: float, alpha: complex, j: int,
+def _afe_cutoff(q: int, A: float, beta: complex, j: int,
                 config: AFEConfig) -> tuple[int, float]:
+    """Cutoff and tail of S(beta, A), whose terms decay like m^{-1/2-Re(beta)}."""
     eps = config.truncation_eps
-    if alpha == 0 and config.g_choice == "constant_one":
+    if beta == 0 and config.g_choice == "constant_one":
         M, tail = _cutoff_closed_form(A, eps, j)
     else:
-        M, tail = _cutoff_contour(A, sigma, alpha, j, config.g_choice, eps)
+        M, tail = _cutoff_contour(A, 0.5 + beta.real, beta, j, config.g_choice, eps)
     if M > config.term_budget:
         raise TruncationError(
             f"conductor q={q}: certified tail {eps:g} needs {M} terms "
@@ -585,24 +595,27 @@ _ROW_BLOCK = 1 << 18  # AFE terms formed at once: 4 MB of complex128
 _V_BLOCK = 1 << 14  # closed-form V terms evaluated at once (peak memory)
 
 
-def _row_sums(values: np.ndarray, E: np.ndarray, coeff: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """np.sum(values[E] * coeff * V, axis=1), a block of rows at a time so
-    that long sums (Gaussian G) hold no more terms than one row or
-    _ROW_BLOCK; each row's sum is the same whatever the blocking."""
+def _row_sums(E: np.ndarray, beta: complex, V: np.ndarray) -> np.ndarray:
+    """The m-sums S(beta) = np.sum(i^E[:, m-1] m^{-1/2-beta} V[m-1], axis=1), a
+    block of rows at a time so that long sums (Gaussian G) hold no more terms
+    than one row or _ROW_BLOCK; each row's sum is the same whatever the blocking."""
+    m = np.arange(1, E.shape[1] + 1, dtype=float)
+    coeff = m ** -0.5 if beta == 0 else np.exp(-(0.5 + beta) * np.log(m))
     step = max(1, _ROW_BLOCK // E.shape[1])
-    return np.concatenate([np.sum(values[E[r : r + step]] * coeff * V, axis=1)
+    return np.concatenate([np.sum(_I_POW[E[r : r + step]] * coeff * V, axis=1)
                            for r in range(0, len(E), step)])
 
 
 class _Conductor(NamedTuple):
     """One conductor of an `lvalues_afe` batch: its characters' positions,
-    their parity, and (scale, cutoff, tail) of each m-sum -- one entry when
-    the dual sum repeats the first (alpha = 0, B = A = sqrt(q))."""
+    their parity, and (beta, scale, cutoff, tail) of each m-sum
+    S(beta, scale) -- (alpha, A) and (-conj(alpha), q/A), or one entry when
+    the two pairs are equal (Re alpha = 0 and B = A = sqrt(q))."""
 
     q: int
     idx: list[int]
     j: int
-    sums: tuple[tuple[float, int, float], ...]
+    sums: tuple[tuple[complex, float, int, float], ...]
 
 
 def _v_blocks(conductors: list[_Conductor]):
@@ -610,7 +623,7 @@ def _v_blocks(conductors: list[_Conductor]):
     between them, or one conductor that alone has more."""
     block, terms = [], 0
     for cond in conductors:
-        n = sum(M for _, M, _ in cond.sums)
+        n = sum(M for _, _, M, _ in cond.sums)
         if block and terms + n > _V_BLOCK:
             yield block
             block, terms = [], 0
@@ -623,26 +636,26 @@ def _v_blocks(conductors: list[_Conductor]):
 def _conductor_v(conductors: list[_Conductor], alpha: complex, config: AFEConfig):
     """Yield (conductor, [(V, per-value error) for each of its m-sums]).
 
-    At alpha = 0, V is `v_values` at m/A: the closed form (G = 1) takes one
-    call per block of `_v_blocks` of one parity, over the concatenated m/A,
-    and each conductor reads its slices; since `_gamma_q` is elementwise, a
-    slice has the bits of a call on that conductor alone.  The Gaussian G
-    takes one call per m-sum.  At alpha != 0 each m-sum reads `_v_folded`.
+    At alpha = 0 (every beta 0), V is `v_values` at m/A: the closed form
+    (G = 1) takes one call per block of `_v_blocks` of one parity, over the
+    concatenated m/A, and each conductor reads its slices; since `_gamma_q`
+    is elementwise, a slice has the bits of a call on that conductor alone.
+    The Gaussian G takes one call per m-sum.  Else each reads `_v_folded`.
     """
     if alpha != 0:
         for cond in conductors:
-            yield cond, [(_v_folded(a, cond.j, scale, M, config), 1e-12)
-                         for a, (scale, M, _) in zip((alpha, -alpha), cond.sums)]
+            yield cond, [(_v_folded(beta, cond.j, scale, M, config), 1e-12)
+                         for beta, scale, M, _ in cond.sums]
         return
     if config.g_choice == "gaussian":
         for cond in conductors:
             yield cond, [v_values(0j, cond.j, np.arange(1, M + 1, dtype=float) / scale, config)
-                         for scale, M, _ in cond.sums]
+                         for _, scale, M, _ in cond.sums]
         return
     for j in (1, -1):
         for block in _v_blocks([cond for cond in conductors if cond.j == j]):
             xs = [np.arange(1, M + 1, dtype=float) / scale
-                  for cond in block for scale, M, _ in cond.sums]
+                  for cond in block for _, scale, M, _ in cond.sums]
             V, verr = v_values(0j, j, np.concatenate(xs), config)
             parts = iter(np.split(V, np.cumsum([len(x) for x in xs[:-1]])))
             for cond in block:
@@ -651,28 +664,22 @@ def _conductor_v(conductors: list[_Conductor], alpha: complex, config: AFEConfig
 
 def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
                 config: AFEConfig = DEFAULT_AFE) -> list[LValueRecord]:
-    """L(1/2 + alpha, chi) by the approximate functional equation for each
-    chi in `chars`, in the same order.
+    """L(1/2 + alpha, chi), |Re alpha| < 1/2, |Im alpha| <= 7, by the
+    approximate functional equation for each chi in `chars`, in order.
 
-    Everything is done once per conductor q for all of its characters: the
-    split A*B = q, both cutoffs and tails, V_{alpha} and V_{-alpha}, the
-    m^{-1/2 -+ alpha} coefficients and X (at alpha = 0 with the default
-    split B = A, once for both sums); the sign matrix of
-    `conductor_signature` (q factored once) and the int8
-    (characters x max(M1, M2)) exponent matrix of `signature_exponents` (one
-    T_p[m mod p] gather per p | q).  The closed-form V goes further and is
-    evaluated for blocks of conductors at once (`_conductor_v`), after
-    every cutoff is known.  Both m-sums are row sums
-    np.sum(axis=1) of (i^e * coeff) * V, the elements and order of a lone
-    character's sum, so a value has the same bits in any batch and no BLAS
-    reduction enters.  S2 = conj(S1) exactly when the dual sum has the same
-    terms and V is real (closed form, spline); the contour table's complex
-    V keeps the explicit S2.  eps(chi) reads the character's sign row and
-    the cached tau_p.
+    L = S(alpha, A) + eps X conj(S(-conj(alpha), q/A)) (module docstring),
+    one m-sum S when Re alpha = 0 and A = sqrt(q).  Per conductor, q is
+    factored once (`conductor_signature`), each m-sum's cutoff, tail and V
+    are found once (the closed-form V for blocks of conductors, in
+    `_conductor_v`), and `_row_sums` sums each character's row in the order
+    of a lone character's sum, so a value has the same bits in any batch
+    and no BLAS reduction enters.  eps(chi) reads the character's sign row
+    and the cached tau_p.
     """
     alpha = complex(alpha)
-    if abs(alpha.real) >= 0.5:
-        raise ValueError("the AFE requires |Re(alpha)| < 1/2")
+    if not (abs(alpha.real) < 0.5 and abs(alpha.imag) <= _IM_ALPHA_MAX):
+        raise ValueError(f"alpha = {alpha}: the AFE needs |Re(alpha)| < 1/2 and |Im(alpha)| <= "
+                         f"{_IM_ALPHA_MAX:g} (lvalue_direct serves any t)")
     by_q: dict[int, list[int]] = {}
     for i, chi in enumerate(chars):
         by_q.setdefault(chi.q, []).append(i)
@@ -680,35 +687,24 @@ def lvalues_afe(chars: list[QuarticCharacter], alpha: complex = 0j,
     for q, idx in by_q.items():
         j = chars[idx[0]].parity()
         A = math.sqrt(q) if config.split_a is None else float(config.split_a)
-        sums = ((A, *_afe_cutoff(q, A, 0.5 + alpha.real, alpha, j, config)),)
-        if not (alpha == 0 and config.split_a is None):
-            B = q / A
-            sums += ((B, *_afe_cutoff(q, B, 0.5 - alpha.real, -alpha, j, config)),)
+        pairs = ((alpha, A),)
+        if not (alpha.real == 0 and config.split_a is None):
+            pairs += ((-alpha.conjugate(), q / A),)
+        sums = tuple((beta, scale, *_afe_cutoff(q, scale, beta, j, config))
+                     for beta, scale in pairs)
         conductors.append(_Conductor(q, idx, j, sums))
 
     out: list[LValueRecord | None] = [None] * len(chars)
     for cond, vs in _conductor_v(conductors, alpha, config):
-        shared = len(cond.sums) == 1  # B = A = sqrt(q): the dual sum has the same terms
-        (_, M1, tail1), (_, M2, tail2) = cond.sums[0], cond.sums[-1]
-        (V1, verr1), (V2, verr2) = vs[0], vs[-1]
-        m1 = np.arange(1, M1 + 1, dtype=float)
-        coeff1 = m1 ** -0.5 if alpha == 0 else np.exp(-(0.5 + alpha) * np.log(m1))
-        if shared:
-            coeff2 = coeff1
-        else:
-            m2 = np.arange(1, M2 + 1, dtype=float)
-            coeff2 = m2 ** -0.5 if alpha == 0 else np.exp(-(0.5 - alpha) * np.log(m2))
-
         group = [chars[i] for i in cond.idx]
         tables, signs = conductor_signature(cond.q, [chi.n for chi in group])
-        E = signature_exponents(tables, signs, np.arange(1, max(M1, M2) + 1))
-        S1 = _row_sums(_I_POW, E[:, :M1], coeff1, V1)
-        if shared and not V1.imag.any():
-            S2 = S1.conj()
-        else:
-            S2 = _row_sums(_I_POW_CONJ, E[:, :M2], coeff2, V2)
+        E = signature_exponents(tables, signs, np.arange(1, max(s[2] for s in cond.sums) + 1))
+        S = [_row_sums(E[:, :M], beta, V) for (beta, _, M, _), (V, _) in zip(cond.sums, vs)]
+        S1, S2 = S[0], S[-1].conj()
 
         X = x_factor(alpha, cond.j, cond.q)
+        (_, _, M1, tail1), (_, _, M2, tail2) = cond.sums[0], cond.sums[-1]
+        verr1, verr2 = vs[0][1], vs[-1][1]
         err = tail1 + tail2 + 2.0 * (verr1 * math.sqrt(M1) + verr2 * math.sqrt(M2)) + 1e-12
         for i, chi, row, s1, s2 in zip(cond.idx, group, signs, S1, S2):
             signature = [(p, table, sign) for (p, table), sign in zip(tables, row)]

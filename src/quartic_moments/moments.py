@@ -304,7 +304,7 @@ def second_moment(
         grid = tuple(pts)
     grid = tuple(sorted(grid))
     chars = characters_upto(grid[-1])
-    recs = central_values(chars, 1j * t, config, workers)
+    recs = central_values(chars, complex(0.0, t), config, workers)
     table = []
     for Qi in grid:
         s = math.fsum(abs(r.value) ** 2 for r in recs if r.q <= Qi)
@@ -371,6 +371,8 @@ def sieve_ratio_quartic(Q: int, M: int, trials: int = 20, rng_seed: int = 1) -> 
     / [bound(Q, M) * sum |a_m|^2]."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if Q < 3 or M < 1:
+        raise ValueError(f"Q must be at least 3 and M at least 1, not {Q!r} and {M!r}")
     chars = [c for c in characters_upto(2 * Q) if c.q > Q]
     sf = squarefree_mask(2 * M)
     ms = np.array([m for m in range(M + 1, 2 * M + 1) if sf[m]], dtype=np.int64)

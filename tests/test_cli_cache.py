@@ -77,6 +77,29 @@ def test_lvalue_json_and_methods():
     assert dispatch([*shifted, "--alpha", "0.1"]) == dispatch([*shifted, "--alpha", "0.1,2"]) == 0
 
 
+LVALUE5 = ["lvalue", "--q", "5", "--a", "-1", "--b", "-2"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sieve", "--kind", "quartic", "--Q", "64", "--M", "0"], "not 64 and 0"),
+    (["sieve", "--kind", "quartic", "--Q", "64", "--M", "-3"], "not 64 and -3"),
+    (["sieve", "--kind", "quartic", "--Q", "2", "--M", "8"], "not 2 and 8"),
+    ([*LVALUE5, "--alpha", "0,40"], "alpha = 40j"),
+    ([*LVALUE5, "--alpha", "nan"], "alpha = (nan+0j)"),
+    (["second-moment", "--Q", "100", "--t", "30"], "alpha = 30j"),
+    (["second-moment", "--Q", "10", "--t", "nan"], "alpha = nanj"),
+    (["second-moment", "--Q", "10", "--t", "inf"], "alpha = infj"),
+])
+def test_malformed_inputs_exit_2_naming_them(argv, named, capsys):
+    # out-of-range inputs are usage errors with a JSON message naming the
+    # input, never a traceback, a certification failure or a silent report
+    assert dispatch(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    payload = json.loads(out.err)
+    assert payload["kind"] == "ValueError" and named in payload["error"]
+
+
 def test_verify_subcommand_exit_codes(capsys):
     out = run_cli(["verify", "--suite", "reciprocity", "--max-norm", "60"])
     assert out.returncode == 0

@@ -120,7 +120,7 @@ def test_closed_form_block_slices_match_lone_calls(monkeypatch):
     for q, A in ((1105, None), (65, 5.0), (1885, None), (13, None)):
         j = _conductor(q)[0].parity()
         scales = (math.sqrt(q),) if A is None else (A, q / A)
-        sums = tuple((s, *lfunctions._afe_cutoff(q, s, 0.5, 0j, j, cfg)) for s in scales)
+        sums = tuple((0j, s, *lfunctions._afe_cutoff(q, s, 0j, j, cfg)) for s in scales)
         conds.append(lfunctions._Conductor(q, [], j, sums))
     calls = []
     real_v = lfunctions.v_values
@@ -137,7 +137,7 @@ def test_closed_form_block_slices_match_lone_calls(monkeypatch):
         assert len(calls) == n_calls and len(got) == len(conds)
         for cond in conds:
             assert len(got[cond.q]) == len(cond.sums)
-            for (scale, M, _), (V, err) in zip(cond.sums, got[cond.q]):
+            for (_, scale, M, _), (V, err) in zip(cond.sums, got[cond.q]):
                 alone, err_alone = real_v(0j, cond.j, np.arange(1, M + 1, dtype=float) / scale)
                 assert V.tobytes() == alone.tobytes() and err == err_alone
 
@@ -213,6 +213,23 @@ def test_v_rejects_nonpositive():
         v_function(0, 1, 0.0)
 
 
+@pytest.mark.parametrize("t", [7.0, -7.0])
+def test_v_quadrature_matches_mpmath_at_t7(t):
+    # G = 1: V_{alpha,j}(x) = Gamma(z, pi x^2)/Gamma(z), z = (1/2 + a_j + alpha)/2;
+    # the quadrature's rounding grows with |t|, and t = 7 is the largest shift
+    # the AFE accepts
+    import mpmath
+
+    xs = np.exp(np.linspace(-4.0, 2.5, 40))
+    for j in (1, -1):
+        z = (0.5 + (1 - j) // 2 + complex(0, t)) / 2
+        got = lfunctions._v_quadrature(complex(0, t), j, xs, "constant_one")
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.gammainc(z, math.pi * x * x, regularized=True))
+                            for x in xs])
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
 # ----------------------------------------------------------------------
 # epsilon factor
 # ----------------------------------------------------------------------
@@ -283,6 +300,35 @@ def test_dual_sum_reused_at_center(monkeypatch):
     assert len(calls) == 1 + len(chars)
 
 
+def _count_calls(monkeypatch, *names):
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(lfunctions, name)
+
+        def counting(*args, _real=real, _calls=calls[name], **kwargs):
+            _calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lfunctions, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, per_conductor", [(5j, 1), (0.25, 2)])
+def test_one_m_sum_per_conductor_when_re_alpha_is_zero(alpha, per_conductor, monkeypatch):
+    # the dual sum is conj S(-conj(alpha), q/A): at Re alpha = 0 with the
+    # default split that is the first sum itself, so its cutoff and V are
+    # found once per conductor; off the line Re alpha = 0 there are two
+    chars = _conductor(1105) + _conductor(13) + _conductor(997)
+    calls = _count_calls(monkeypatch, "_afe_cutoff", "_v_folded")
+    recs = lvalues_afe(chars, alpha)
+    n_cond = len({c.q for c in chars})
+    assert len(calls["_afe_cutoff"]) == len(calls["_v_folded"]) == per_conductor * n_cond
+    monkeypatch.undo()
+    for chi, rec in zip(chars, recs):
+        alt = lvalue_afe(chi, alpha, AFEConfig(split_a=math.sqrt(chi.q)))
+        assert abs(rec.value - alt.value) <= rec.err_estimate, chi
+
+
 # ----------------------------------------------------------------------
 # the per-conductor kernel
 # ----------------------------------------------------------------------
@@ -329,14 +375,15 @@ def test_kernel_rejects_invalid_characters():
 
 
 def test_kernel_contour_v_at_center_matches_closed_form(monkeypatch):
-    # the contour table's V is complex, so the dual sum is summed explicitly
+    # the contour table's V in place of the closed form at the center: the
+    # one m-sum and its conjugate as the dual sum agree within both errors
     chars = _conductor(1105) + _conductor(13) + _conductor(997)
     closed = lvalues_afe(chars)
 
     def folded_v(conductors, alpha, config):
         for cond in conductors:
-            yield cond, [(lfunctions._v_folded(alpha, cond.j, scale, M, config), 1e-12)
-                         for scale, M, _ in cond.sums]
+            yield cond, [(lfunctions._v_folded(beta, cond.j, scale, M, config), 1e-12)
+                         for beta, scale, M, _ in cond.sums]
 
     monkeypatch.setattr(lfunctions, "_conductor_v", folded_v)
     contour = lvalues_afe(chars)
@@ -391,8 +438,16 @@ def test_afe_split_and_g_invariance_sample():
 
 def test_afe_rejects_bad_alpha_and_budget():
     chi = characters_upto(5)[0]
-    with pytest.raises(ValueError):
-        lvalue_afe(chi, 0.6)
+    # |Re alpha| < 1/2 and |Im alpha| <= 7, with NaN and inf rejected too
+    nan, inf = float("nan"), float("inf")
+    for alpha in (0.6, -0.5, nan, 7.5j, -40j, complex(0, nan), complex(0, inf)):
+        with pytest.raises(ValueError, match="alpha"):
+            lvalue_afe(chi, alpha)
+    for alpha in (7.5j, complex(0.1, -8), complex(0, nan), nan, inf):
+        with pytest.raises(ValueError, match="alpha"):
+            v_values(alpha, 1, [1.0])
+    assert np.isfinite(v_values(7j, 1, [1.0])[0]).all()
+    assert math.isfinite(abs(lvalue_direct(chi, 0.5 + 40j).value))  # the oracle takes any t
     with pytest.raises(TruncationError):
         lvalue_afe(chi, 0j, AFEConfig(term_budget=3))
     # settings that would otherwise divide by zero or be silently replaced
@@ -431,6 +486,17 @@ def test_afe_at_t5_against_direct_oracle():
         ref = lvalue_direct(chi, 0.5 + 5j)
         assert abs(rec.value - ref.value) <= rec.err_estimate + ref.err_estimate
         assert lvalue_afe(chi, 5j) == rec
+
+
+def test_afe_at_t7_against_direct_oracle():
+    # the largest accepted shift, on both sides of the real axis, near the
+    # top of the second-moment family
+    chars = [c for c in characters_upto(1000) if 500 < c.q <= 1000]
+    sample = sorted(random.Random(7).sample(chars, 6), key=lambda c: (c.q, c.n.a, c.n.b))
+    for t in (7.0, -7.0):
+        for chi, rec in zip(sample, lvalues_afe(sample, complex(0, t))):
+            ref = lvalue_direct(chi, complex(0.5, t))
+            assert abs(rec.value - ref.value) <= min(rec.err_estimate, ref.err_estimate), chi
 
 
 def test_clear_caches_empties_power_tables():

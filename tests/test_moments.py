@@ -142,6 +142,10 @@ def test_inputs_with_empty_results_are_rejected():
     for M, N in ((0, 64), (64, 0), (-3, 64)):
         with pytest.raises(ValueError, match="at least 1"):
             sieve_ratio_quadratic(M, N, trials=2)
+    # the quartic ratio over Q < q <= 2Q needs a character (Q >= 3) and an m (M >= 1)
+    for Q, M in ((64, 0), (64, -3), (2, 8)):
+        with pytest.raises(ValueError, match="at least"):
+            sieve_ratio_quartic(Q, M, trials=2)
 
 
 def test_second_moment_report():
